@@ -3,7 +3,6 @@ code-generation models."""
 
 __version__ = "0.1.0"
 
-from . import _kernels
 from .checkers import ASSEMBLY_CHECKER, PYTHON_LIKE_CHECKER, CheckResult, SyntaxChecker
 from .corpus import Corpus, Sample, SplitSpec, load_corpus, load_results, split_corpus, write_results
 from .errors import CheckerError, ConfigError, DataError, EvalkitError
@@ -48,4 +47,8 @@ from .textprep import (
     tokenize,
 )
 
-kernel_backend = _kernels.backend
+
+def kernel_backend() -> str:
+    """Name of the sequence-alignment kernel implementation; there is one,
+    the bit-parallel pure-Python kernels in `evalkit._kernels`."""
+    return "python"

@@ -8,8 +8,10 @@ problems (missing binary, sandbox failure) raise CheckerError instead.
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -137,25 +139,40 @@ class SyntaxChecker:
             path = Path(fh.name)
         try:
             argv = [part.format(file=str(path)) for part in shlex.split(self.command)]
-            try:
-                proc = subprocess.run(
-                    argv,
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.PIPE,
-                    timeout=self.timeout,
-                )
-            except subprocess.TimeoutExpired:
-                return CheckResult(False, f"checker timed out after {self.timeout}s")
-            except FileNotFoundError as exc:
-                raise CheckerError(f"checker command not found: {argv[0]!r}") from exc
-            except OSError as exc:
-                raise CheckerError(f"checker failed to run: {exc}") from exc
-            stderr = proc.stderr.decode("utf-8", "replace").strip()
-            if proc.returncode == 0:
+            # stderr goes to a file, not a pipe, so a background child that
+            # inherits it cannot hold the check open past the command's exit;
+            # the command's own session lets the whole group be killed after
+            with tempfile.TemporaryFile() as err:
+                try:
+                    proc = subprocess.Popen(
+                        argv, stdout=subprocess.DEVNULL, stderr=err, start_new_session=True
+                    )
+                except FileNotFoundError as exc:
+                    raise CheckerError(f"checker command not found: {argv[0]!r}") from exc
+                except OSError as exc:
+                    raise CheckerError(f"checker failed to run: {exc}") from exc
+                try:
+                    returncode = proc.wait(timeout=self.timeout)
+                except subprocess.TimeoutExpired:
+                    return CheckResult(False, f"checker timed out after {self.timeout}s")
+                finally:
+                    _kill_group(proc)
+                err.seek(0)
+                stderr = err.read().decode("utf-8", "replace").strip()
+            if returncode == 0:
                 return CheckResult(True, stderr)
-            return CheckResult(False, stderr or f"exit status {proc.returncode}")
+            return CheckResult(False, stderr or f"exit status {returncode}")
         finally:
             path.unlink(missing_ok=True)
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kill every process left in `proc`'s session group, then reap `proc`."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
 
 
 ASSEMBLY_CHECKER = SyntaxChecker(name="assembly-subset", kind="builtin-assembly-subset")

@@ -210,6 +210,10 @@ def _align_exact(pred: Sequence[str], ref: Sequence[str], quota: Counter) -> tup
         matches, neg_chunks = best(0, 0, -1)
     except _StateCapExceeded:
         return None
+    finally:
+        # `best` refers to itself through its closure, so this frame's locals
+        # wait for the cyclic collector: free the memo now
+        memo.clear()
     assert matches == target
     return matches, -neg_chunks
 

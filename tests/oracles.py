@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to validate the production algorithms.
 
-These deliberately follow the textbook recursive definitions (or exhaustive
-enumeration) rather than the DP/search formulations used by the package, and
-must stay that way: tests compare the two routes against each other.
+These deliberately follow the textbook recursive definitions, dynamic programs
+or exhaustive enumeration rather than the bit-parallel/search formulations used
+by the package, and must stay that way: tests compare the two routes against
+each other.
 """
 
 from __future__ import annotations
@@ -43,6 +44,28 @@ def lev_memo(a: str, b: str) -> int:
         return memo[key]
 
     return d(len(a), len(b))
+
+
+def lev_dp(a, b) -> int:
+    """Edit distance by the textbook two-row dynamic program, O(len(a) * len(b))."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        curr = [i]
+        for j, cb in enumerate(b, 1):
+            curr.append(min(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = curr
+    return prev[-1]
+
+
+def lcs_dp(a, b) -> int:
+    """Longest common subsequence length by the textbook two-row dynamic program."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0]
+        for j, y in enumerate(b, 1):
+            curr.append(prev[j - 1] + 1 if x == y else max(prev[j], curr[j - 1]))
+        prev = curr
+    return prev[-1]
 
 
 def _is_subsequence(needle, haystack) -> bool:

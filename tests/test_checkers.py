@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import sys
+import time
 
 import pytest
 
@@ -8,6 +10,31 @@ from evalkit import ASSEMBLY_CHECKER, PYTHON_LIKE_CHECKER, CheckerError, SyntaxC
 from evalkit.checkers import checker_for_language
 from evalkit.errors import ConfigError
 from evalkit.metrics import compilation_accuracy
+
+
+def _running(pid: int) -> bool:
+    """Whether `pid` is a live process (a zombie awaiting its reaper is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc: ask the kernel directly
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def _gone(pid: int, grace: float = 1.0) -> bool:
+    """True once `pid` has exited; a SIGKILL lands asynchronously, so allow a grace period."""
+    deadline = time.monotonic() + grace
+    while _running(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 class TestAssemblySubset:
@@ -102,6 +129,30 @@ class TestExternal:
         result = checker.check("snippet")
         assert not result.accepted
         assert "timed out" in result.diagnostic
+
+    def test_background_child_neither_delays_nor_outlives_the_check(self, tmp_path):
+        # the command exits 0 at once but leaves a child holding its stderr
+        pidfile = tmp_path / "child.pid"
+        checker = SyntaxChecker(
+            name="bg", kind="external-command",
+            command=f"sh -c 'sleep 3 & echo $! > {pidfile}; exit 0' {{file}}", timeout=1,
+        )
+        start = time.monotonic()
+        result = checker.check("snippet")
+        assert time.monotonic() - start < 0.5
+        assert result.accepted
+        assert _gone(int(pidfile.read_text()))
+
+    def test_hanging_command_times_out_and_leaves_no_process(self, tmp_path):
+        pidfile = tmp_path / "child.pid"
+        checker = SyntaxChecker(
+            name="hang", kind="external-command",
+            command=f"sh -c 'sleep 30 & echo $! > {pidfile}; wait' {{file}}", timeout=0.5,
+        )
+        result = checker.check("snippet")
+        assert not result.accepted
+        assert result.diagnostic == "checker timed out after 0.5s"
+        assert _gone(int(pidfile.read_text()))
 
     def test_missing_binary_raises_checker_error(self):
         checker = SyntaxChecker(

@@ -1,74 +1,50 @@
-"""Backend parity: the compiled kernels and the pure-Python fallback must be
-interchangeable."""
+"""The bit-parallel kernels against brute-force and textbook-DP oracles.
+
+A Python int bit vector has no word size, but the carries and shifts of the
+update must still be right across 30- and 64-bit digit boundaries, so lengths
+around those boundaries (and past a few of them) are covered explicitly.
+"""
 
 from __future__ import annotations
 
-import itertools
-import os
 import random
-import subprocess
-import sys
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import evalkit
 from evalkit import _kernels
-from evalkit._kernels import _pykernels
 
-from oracles import lcs_enumerate, lev_recursive
+from oracles import lcs_dp, lcs_enumerate, lev_dp, lev_recursive
 
-try:
-    from evalkit._kernels import _ckernels
-except ImportError:
-    _ckernels = None
+# 0, 1, both sides of the 30-bit CPython digit and the 32/64/128-bit words, and a long case
+BOUNDARY_LENGTHS = (0, 1, 2, 29, 30, 31, 59, 60, 61, 62, 63, 64, 65, 127, 128, 129, 300)
 
-needs_compiled = pytest.mark.skipif(_ckernels is None, reason="compiled kernels not built")
+# ASCII code, newlines, a non-Latin letter and a non-BMP character
+CHARS = "ab(): \n\t_=ïβ\U0001F600"
+
+# repeated tokens and distinct-but-similar ones that only equal when concatenated
+TOKENS = ("a", "b", "ab", "bc", "c", "(", ")", "\n", "\U0001F600", "x\U0001F600")
+
+
+def _text(rng: random.Random, n: int, chars: str = CHARS) -> str:
+    return "".join(rng.choice(chars) for _ in range(n))
+
+
+def _check_lev(a: str, b: str) -> None:
+    expected = lev_dp(a, b)
+    assert _kernels.levenshtein(a, b) == expected, (a, b)
+    assert _kernels.levenshtein(b, a) == expected, (b, a)
+
+
+def _check_lcs(a: list[str], b: list[str]) -> None:
+    expected = lcs_dp(a, b)
+    assert _kernels.lcs_length(a, b) == expected, (a, b)
+    assert _kernels.lcs_length(b, a) == expected, (b, a)
 
 
 def test_backend_reports_a_known_name():
-    assert _kernels.backend() in ("c", "python")
-
-
-@needs_compiled
-@pytest.mark.skipif(_kernels._FORCE_PURE, reason="pure backend forced via env")
-def test_compiled_backend_is_default_when_built():
-    assert _kernels.backend() == "c"
-
-
-def test_env_var_forces_pure_python():
-    env = dict(os.environ, EVALKIT_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from evalkit import _kernels; print(_kernels.backend())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-@needs_compiled
-def test_levenshtein_parity_random_strings():
-    rng = random.Random(42)
-    alphabet = "abX, \n01"
-    for _ in range(500):
-        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
-        b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
-        assert _ckernels.levenshtein(a, b) == _pykernels.levenshtein(a, b)
-
-
-@needs_compiled
-def test_lcs_parity_exhaustive_small():
-    symbols = [0, 1]
-    seqs = [list(p) for n in range(7) for p in itertools.product(symbols, repeat=n)]
-    for a in seqs:
-        for b in seqs:
-            assert _ckernels.lcs_length(a, b) == _pykernels.lcs_length(a, b)
-
-
-@needs_compiled
-def test_lcs_str_parity_random():
-    rng = random.Random(7)
-    for _ in range(300):
-        a = "".join(rng.choice("xyz") for _ in range(rng.randint(0, 20)))
-        b = "".join(rng.choice("xyz") for _ in range(rng.randint(0, 20)))
-        assert _ckernels.lcs_str(a, b) == _pykernels.lcs_str(a, b)
+    assert evalkit.kernel_backend() == "python"
 
 
 def test_levenshtein_against_recursive_definition():
@@ -96,3 +72,68 @@ def test_token_interning_does_not_conflate_tokens():
     # distinct strings must stay distinct ids even when equal-ish
     assert _kernels.lcs_length(["ab", "c"], ["a", "bc"]) == 0
     assert _kernels.lcs_length(["ab"], ["ab"]) == 1
+
+
+def test_levenshtein_at_word_boundaries():
+    rng = random.Random(11)
+    for n in BOUNDARY_LENGTHS:
+        for m in BOUNDARY_LENGTHS:
+            _check_lev(_text(rng, n), _text(rng, m))
+
+
+def test_lcs_at_word_boundaries():
+    rng = random.Random(12)
+    for n in BOUNDARY_LENGTHS:
+        for m in BOUNDARY_LENGTHS:
+            _check_lcs([rng.choice(TOKENS) for _ in range(n)], [rng.choice(TOKENS) for _ in range(m)])
+
+
+def test_single_repeated_character():
+    for n in BOUNDARY_LENGTHS:
+        for m in BOUNDARY_LENGTHS:
+            assert _kernels.levenshtein("a" * n, "a" * m) == abs(n - m)
+            assert _kernels.levenshtein("a" * n, "b" * m) == max(n, m)
+            assert _kernels.lcs_length(["a"] * n, ["a"] * m) == min(n, m)
+            assert _kernels.lcs_length(["a"] * n, ["b"] * m) == 0
+    _check_lev("a" * 129, "a" * 64 + "b" + "a" * 64)
+    _check_lcs(["ab"] * 65, ["ab"] * 30 + ["a", "b"] + ["ab"] * 30)
+
+
+def test_newline_heavy_code():
+    rng = random.Random(13)
+    lines = ["import socket", "    s.send(buf)", "", "for i in range(4):", "\tpass", "x = 0x41"]
+    for _ in range(20):
+        a = "\n".join(rng.choice(lines) for _ in range(rng.randint(0, 40)))
+        chars = list(a)
+        for _ in range(rng.randint(0, 12)):
+            op = rng.randrange(3)
+            p = rng.randrange(len(chars) + 1)
+            if op == 0:
+                chars.insert(p, rng.choice("\n \t:"))
+            elif chars and p < len(chars):
+                if op == 1:
+                    del chars[p]
+                else:
+                    chars[p] = "\n"
+        b = "".join(chars)
+        _check_lev(a, b)
+        _check_lcs(a.split(" "), b.split(" "))
+
+
+def test_non_bmp_characters_count_as_one():
+    smile, wink = "\U0001F600", "\U0001F609"
+    assert _kernels.levenshtein(smile * 70, wink * 70) == 70
+    assert _kernels.levenshtein("x" + smile, smile) == 1
+    _check_lev(smile * 33 + "a", "a" + smile * 64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet=CHARS, max_size=300), st.text(alphabet=CHARS, max_size=300))
+def test_levenshtein_matches_dp(a, b):
+    _check_lev(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=300), st.lists(st.sampled_from(TOKENS), max_size=300))
+def test_lcs_matches_dp(a, b):
+    _check_lcs(a, b)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
 
@@ -232,6 +233,18 @@ class TestMeteor:
             assert m == expected_m
             assert 1 <= chunks <= m
             assert 0.0 <= meteor(pred, ref) <= 1.0
+
+    def test_exact_search_memo_is_freed_without_the_cyclic_collector(self):
+        # a repetitive pair fills the exact search's memo (and overflows its cap)
+        tokens = ["mov", "eax", ",", "eax"] * 3 + ["push", "eax"]
+        gc.collect()
+        gc.disable()
+        try:
+            assert _align(tokens, list(tokens)) == (14, 1)
+            leftover = gc.collect()
+        finally:
+            gc.enable()
+        assert leftover < 100
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):
