@@ -22,6 +22,7 @@ from .corpus import (
     SplitSpec,
     load_corpus,
     load_results,
+    open_utf8,
     results_as_mapping,
     split_corpus,
     write_corpus,
@@ -200,6 +201,31 @@ def _stopword_list(args) -> StopwordList | None:
     )
 
 
+def _load_sidecar(path: Path) -> dict[str, StandardizationMap]:
+    """Read a standardization sidecar: one {"id": ..., "map": {...}} per line."""
+    maps: dict[str, StandardizationMap] = {}
+    with open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: JSON parse error: {exc}") from None
+            if not (isinstance(record, dict) and isinstance(record.get("id"), str)
+                    and "map" in record):
+                raise DataError(f"{where}: expected an object with 'id' and 'map'")
+            smap = record["map"]
+            if not isinstance(smap, dict) or not all(isinstance(v, str) for v in smap.values()):
+                raise DataError(f"{where}: 'map' must be an object of placeholder -> literal")
+            try:
+                maps[record["id"]] = StandardizationMap(tuple(smap.items()))
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
+    return maps
+
+
 def cmd_preprocess(args) -> int:
     corpus = load_corpus(args.corpus, _corpus_format(args.corpus, args.format))
     out = Path(args.out)
@@ -207,14 +233,7 @@ def cmd_preprocess(args) -> int:
     sidecar_path = Path(args.sidecar) if args.sidecar else out / "standardization_maps.jsonl"
 
     if args.destandardize:
-        maps: dict[str, StandardizationMap] = {}
-        with open(sidecar_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    record = json.loads(line)
-                    maps[record["id"]] = StandardizationMap(
-                        tuple((k, v) for k, v in record["map"].items())
-                    )
+        maps = _load_sidecar(sidecar_path)
         restored = []
         for s in corpus:
             smap = maps.get(s.id, StandardizationMap())

@@ -9,6 +9,7 @@ reruns are byte-identical and reloading reproduces the written values exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
 from collections.abc import Iterable, Mapping, Sequence
@@ -114,12 +115,24 @@ def _sample_from_record(record: Mapping, where: str) -> Sample:
         raise DataError(f"{where}: {exc}") from None
 
 
+def open_utf8(path, newline: str | None = None) -> io.StringIO:
+    """The text of a UTF-8 file as a stream, as `open(path, encoding="utf-8",
+    newline=newline)` reads it, except that a byte sequence that is not UTF-8
+    raises DataError naming the path and line."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+
+
 def load_corpus(path, format: str = "jsonl") -> Corpus:
     """Read a corpus file (one record per sample) in jsonl or csv format."""
     path = Path(path)
     samples: list[Sample] = []
     if format == "jsonl":
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -131,7 +144,7 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                     raise DataError(f"{path}:{lineno}: expected an object per line")
                 samples.append(_sample_from_record(record, f"{path}:{lineno}"))
     elif format == "csv":
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open_utf8(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DataError(f"{path}: empty CSV file")
@@ -281,12 +294,26 @@ def write_results(
         raise DataError(f"unknown results format {format!r} (expected csv or jsonl)")
 
 
+def _score_vector(items, where: str) -> dict[str, float]:
+    try:
+        vector = {m: float(v) for m, v in items}
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where}: bad score: {exc}") from None
+    for m, value in vector.items():
+        if not 0.0 <= value <= 1.0:  # also rejects nan
+            raise DataError(f"{where}: score {m} = {value} is not in [0, 1]")
+    return vector
+
+
 def load_results(path, format: str = "csv") -> list[tuple[str, dict[str, float]]]:
-    """Read a result table written by write_results."""
+    """Read a result table written by write_results.
+
+    Every score must be a number in [0, 1]; nan and inf are rejected.
+    """
     path = Path(path)
     rows: list[tuple[str, dict[str, float]]] = []
     if format == "csv":
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open_utf8(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -298,13 +325,9 @@ def load_results(path, format: str = "csv") -> list[tuple[str, dict[str, float]]
             for lineno, row in enumerate(reader, 2):
                 if len(row) != len(header):
                     raise DataError(f"{path}:{lineno}: expected {len(header)} columns")
-                try:
-                    vector = {m: float(v) for m, v in zip(metrics, row[1:])}
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad float: {exc}") from None
-                rows.append((row[0], vector))
+                rows.append((row[0], _score_vector(zip(metrics, row[1:]), f"{path}:{lineno}")))
     elif format == "jsonl":
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -312,7 +335,10 @@ def load_results(path, format: str = "csv") -> list[tuple[str, dict[str, float]]
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DataError(f"{path}:{lineno}: JSON parse error: {exc}") from None
-                rows.append((record["id"], {m: float(v) for m, v in record["scores"].items()}))
+                if not (isinstance(record, dict) and isinstance(record.get("id"), str)
+                        and isinstance(record.get("scores"), dict)):
+                    raise DataError(f"{path}:{lineno}: expected an object with 'id' and 'scores'")
+                rows.append((record["id"], _score_vector(record["scores"].items(), f"{path}:{lineno}")))
     else:
         raise DataError(f"unknown results format {format!r} (expected csv or jsonl)")
     seen: set[str] = set()

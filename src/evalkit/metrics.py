@@ -160,67 +160,23 @@ class MeteorParams:
             raise ConfigError(f"meteor gamma must be in [0,1), got {self.gamma}")
 
 
-# Exact alignment search is bounded; longer or highly repetitive inputs fall
-# back to a greedy that still attains the maximum match count.
+# Minimum-chunk alignment contains Minimum Common String Partition, which is
+# NP-hard (Goldstein, Kolman & Zheng 2005), so the exact search has an explicit
+# bound. Length rule: it runs only when ref has at most 16 tokens and pred at
+# most 400; longer pairs take the greedy alignment. Node budget: after
+# 200,000 search nodes it returns the best alignment found so far, which is
+# never worse than greedy's. Both are deterministic.
 _EXACT_ALIGN_MAX_REF = 16
 _EXACT_ALIGN_MAX_PRED = 400
-_EXACT_ALIGN_STATE_CAP = 10_000
+_EXACT_ALIGN_NODE_BUDGET = 200_000
 
 
-class _StateCapExceeded(Exception):
-    pass
+def _align_greedy(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
+    """Order-preserving greedy alignment that prefers continuing a chunk.
 
-
-def _align_exact(pred: Sequence[str], ref: Sequence[str], quota: Counter) -> tuple[int, int] | None:
-    """Minimum chunk count over all maximum-cardinality exact-match alignments.
-
-    Memoized search over (pred position, used-reference bitmask, chunk
-    continuation). Returns None when the state cap is exceeded.
+    It matches every token while the reference has an unused copy, so it
+    reaches the maximum match count.
     """
-    target = sum(quota.values())
-    positions: dict[str, list[int]] = {}
-    for j, tok in enumerate(ref):
-        positions.setdefault(tok, []).append(j)
-    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-    def best(i: int, mask: int, chain: int) -> tuple[int, int]:
-        # returns (matches, -chunks) maximized lexicographically from i on
-        if i == len(pred):
-            return (0, 0)
-        key = (i, mask, chain)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if len(memo) > _EXACT_ALIGN_STATE_CAP:
-            raise _StateCapExceeded
-        top = best(i + 1, mask, -1)  # leave pred[i] unmatched
-        for j in positions.get(pred[i], ()):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            new_chunk = 0 if j == chain else 1
-            m, negc = best(i + 1, mask | bit, j + 1)
-            cand = (m + 1, negc - new_chunk)
-            if cand > top:
-                top = cand
-        memo[key] = top
-        return top
-
-    try:
-        matches, neg_chunks = best(0, 0, -1)
-    except _StateCapExceeded:
-        return None
-    finally:
-        # `best` refers to itself through its closure, so this frame's locals
-        # wait for the cyclic collector: free the memo now
-        memo.clear()
-    assert matches == target
-    return matches, -neg_chunks
-
-
-def _align_greedy(pred: Sequence[str], ref: Sequence[str], quota: Counter) -> tuple[int, int]:
-    """Order-preserving greedy alignment that prefers continuing a chunk."""
-    remaining = Counter(quota)
     used = [False] * len(ref)
     positions: dict[str, list[int]] = {}
     for j, tok in enumerate(ref):
@@ -229,16 +185,12 @@ def _align_greedy(pred: Sequence[str], ref: Sequence[str], quota: Counter) -> tu
     chunks = 0
     chain = -1
     for tok in pred:
-        if remaining[tok] <= 0:
-            chain = -1
-            continue
-        cands = [j for j in positions[tok] if not used[j]]
+        cands = [j for j in positions.get(tok, ()) if not used[j]]
         if not cands:
             chain = -1
             continue
         j = chain if chain in cands else cands[0]
         used[j] = True
-        remaining[tok] -= 1
         matches += 1
         if j != chain:
             chunks += 1
@@ -246,26 +198,73 @@ def _align_greedy(pred: Sequence[str], ref: Sequence[str], quota: Counter) -> tu
     return matches, chunks
 
 
+def _max_links(sites: list[tuple[int, list[int]]], best: int, upper: int) -> tuple[int, bool]:
+    """Most links over all alignments, by iterative depth-first branch and bound.
+
+    A link (i, j) aligns pred[i] to ref[j] and pred[i + 1] to ref[j + 1];
+    `sites` pairs each pred position i having candidate links with their js. A
+    node is (next site, used ref positions as a bitmask, ref position pred[i]
+    is already aligned to or -1, links so far). A branch is dropped once
+    linking every site left could not beat the incumbent `best`. Returns the
+    most links found and whether the node budget left that proven.
+    """
+    stack = [(0, 0, -1, 0)]
+    nodes = 0
+    while stack:
+        k, used, bound, links = stack.pop()
+        if links > best:
+            best = links
+            if best == upper:
+                return best, True
+        if links + len(sites) - k <= best:
+            continue
+        nodes += 1
+        if nodes > _EXACT_ALIGN_NODE_BUDGET:
+            return best, False
+        i, js = sites[k]
+        follows = k + 1 < len(sites) and sites[k + 1][0] == i + 1
+        stack.append((k + 1, used, -1, links))
+        for j in reversed(js):
+            if (j != bound if bound >= 0 else used >> j & 1) or used >> (j + 1) & 1:
+                continue
+            stack.append((k + 1, used | 3 << j, j + 1 if follows else -1, links + 1))
+    return best, True
+
+
+def _align_path(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int, str]:
+    """`_align` plus the path that produced it: "greedy-by-length",
+    "greedy-proven" (greedy meets the link bound), "exact" or "budget"."""
+    m, chunks = _align_greedy(pred, ref)
+    if len(ref) > _EXACT_ALIGN_MAX_REF or len(pred) > _EXACT_ALIGN_MAX_PRED:
+        return m, chunks, "greedy-by-length"
+    # Every partial alignment extends to one with m matches, so the fewest
+    # chunks is m minus the most links. Links pair off equal bigrams of the two
+    # sides, so their count is at most the shared bigrams, and at most m - 1.
+    starts: dict[tuple[str, str], list[int]] = {}
+    for j in range(len(ref) - 1):
+        starts.setdefault((ref[j], ref[j + 1]), []).append(j)
+    sites = []
+    for i in range(len(pred) - 1):
+        js = starts.get((pred[i], pred[i + 1]))
+        if js:
+            sites.append((i, js))
+    shared = Counter((pred[i], pred[i + 1]) for i, _ in sites)
+    upper = min(m - 1, sum(min(c, len(starts[bg])) for bg, c in shared.items()))
+    if m - chunks >= upper:
+        return m, chunks, "greedy-proven"
+    links, proven = _max_links(sites, m - chunks, upper)
+    return m, m - links, "exact" if proven else "budget"
+
+
 def _align(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
     """Exact-match unigram alignment: (match count, chunk count).
 
     Matches are maximized first (per-token minimum of occurrence counts), then
     the number of chunks (maximal runs contiguous in both sequences) is
-    minimized.
+    minimized, within the length rule and node budget above.
     """
-    pred = tuple(pred)
-    ref = tuple(ref)
-    pred_counts = Counter(pred)
-    ref_counts = Counter(ref)
-    quota = Counter({t: min(c, ref_counts[t]) for t, c in pred_counts.items() if ref_counts[t]})
-    m = sum(quota.values())
-    if m == 0:
-        return 0, 0
-    if len(ref) <= _EXACT_ALIGN_MAX_REF and len(pred) <= _EXACT_ALIGN_MAX_PRED:
-        exact = _align_exact(pred, ref, quota)
-        if exact is not None:
-            return exact
-    return _align_greedy(pred, ref, quota)
+    m, chunks, _ = _align_path(pred, ref)
+    return m, chunks
 
 
 def meteor(pred: Sequence[str], ref: Sequence[str], params: MeteorParams = MeteorParams()) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -172,6 +173,39 @@ def align_enumerate(pred, ref) -> tuple[int, int]:
 
     explore(0, frozenset(), [])
     return target, best_chunks[0]
+
+
+def align_memo(pred, ref) -> tuple[int, int]:
+    """(max matches, min chunks) by a memoized search over (pred position,
+    used reference positions as a bitmask, reference position that would
+    continue the current chunk). Uncapped: exponential in the worst case,
+    fine for about 20 tokens a side."""
+    pred = tuple(pred)
+    ref = tuple(ref)
+    positions = {tok: [j for j, r in enumerate(ref) if r == tok] for tok in set(pred)}
+
+    @lru_cache(maxsize=None)
+    def best(i, used, chain):
+        # (matches, -chunks) maximized lexicographically over pred[i:]
+        if i == len(pred):
+            return 0, 0
+        top = best(i + 1, used, None)
+        for j in positions[pred[i]]:
+            if not used >> j & 1:
+                m, neg_chunks = best(i + 1, used | 1 << j, cont(i + 1, used | 1 << j, j + 1))
+                top = max(top, (m + 1, neg_chunks - (j != chain)))
+        return top
+
+    def cont(i, used, j):
+        # a chunk continues only onto a free copy of the next pred token;
+        # otherwise forget it, so equivalent states share one memo entry
+        if i < len(pred) and j < len(ref) and ref[j] == pred[i] and not used >> j & 1:
+            return j
+        return None
+
+    matches, neg_chunks = best(0, 0, None)
+    best.cache_clear()
+    return matches, -neg_chunks
 
 
 def quantile_sorted(values, q: float) -> float:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -46,6 +48,22 @@ class TestEval:
         assert run("eval", "--corpus", corpus, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "invalid sc" in err and "'a'" in err
+
+    @pytest.mark.parametrize("name, bad_line", [("corpus.jsonl", 2), ("corpus.csv", 3)])
+    def test_non_utf8_corpus_exits_2_naming_line(self, tmp_path, capsys, name, bad_line):
+        if name.endswith(".csv"):
+            buf = io.StringIO()
+            writer = csv.DictWriter(buf, fieldnames=list(GOOD[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(GOOD)
+            text = buf.getvalue()
+        else:
+            text = "".join(json.dumps(r) + "\n" for r in GOOD)
+        corpus = tmp_path / name
+        corpus.write_bytes(text.encode("utf-8").replace(b"mov ebx, 2", b"mov ebx, \xff2"))
+        assert run("eval", "--corpus", corpus, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}:{bad_line}:" in err and "UTF-8" in err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         corpus = write_corpus_file(tmp_path, GOOD)
@@ -126,6 +144,22 @@ class TestAnalyze:
         assert code == 2
         assert "labeled" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1.5", "-0.000001"])
+    def test_non_finite_or_out_of_range_score_exits_2(self, tmp_path, capsys, bad):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        out = tmp_path / "out"
+        assert run("eval", "--corpus", corpus, "--out", out) == 0
+        lines = (out / "results.csv").read_text().splitlines()
+        row = lines[2].split(",")
+        row[5] = bad
+        lines[2] = ",".join(row)
+        (out / "results.csv").write_text("\n".join(lines) + "\n")
+        code = run("analyze", "--corpus", corpus, "--results", out / "results.csv",
+                   "--out", out / "analysis")
+        assert code == 2
+        assert f"{out / 'results.csv'}:3:" in capsys.readouterr().err
+        assert not (out / "analysis" / "offsets.csv").exists()
+
     def test_all_partitions_and_documents_written(self, tmp_path):
         code, outdir = self._eval_then_analyze(tmp_path, GOOD)
         assert code == 0
@@ -180,6 +214,26 @@ class TestPreprocess:
         assert code == 0
         restored = [json.loads(line) for line in (back / "corpus.jsonl").read_text().splitlines()]
         assert [r["intent"] for r in restored] == [r["intent"] for r in records]
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "a", "map": {', "JSON parse error"),
+        ('{"x": 1}', "'id' and 'map'"),
+        ('{"id": "a"}', "'id' and 'map'"),
+        ('["a", {}]', "'id' and 'map'"),
+        ('{"id": "a", "map": ["var0", "5"]}', "'map' must be an object"),
+        ('{"id": "a", "map": {"var0": 5}}', "'map' must be an object"),
+        ('{"id": "a", "map": {"var1": "5"}}', "dense var0"),
+    ], ids=["bad-json", "no-id", "no-map", "not-an-object", "map-is-a-list",
+            "literal-not-a-string", "placeholders-not-dense"])
+    def test_malformed_sidecar_exits_2_naming_line(self, tmp_path, capsys, line, message):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        sidecar = tmp_path / "maps.jsonl"
+        sidecar.write_text('{"id": "c", "map": {}}\n' + line + "\n", encoding="utf-8")
+        code = run("preprocess", "--corpus", corpus, "--out", tmp_path / "o",
+                   "--destandardize", "--sidecar", sidecar)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sidecar}:2:" in err and message in err
 
     def test_missing_rules_file_exits_1(self, tmp_path, capsys):
         corpus = write_corpus_file(tmp_path, GOOD)

@@ -196,6 +196,20 @@ class TestResults:
         assert loaded[0][0] == "a"
         assert loaded[0][1] == rows[0][1]
 
+    @pytest.mark.parametrize("line", [
+        '{"scores": {"EM": 1.0}}',
+        '{"id": "a"}',
+        '{"id": "a", "scores": [1.0]}',
+        '["a", {"EM": 1.0}]',
+        '{"id": "a", "scores": {"EM": NaN}}',
+        '{"id": "a", "scores": {"EM": "x"}}',
+    ], ids=["no-id", "no-scores", "scores-not-an-object", "not-an-object", "nan", "not-a-number"])
+    def test_malformed_jsonl_result_row_rejected_with_line(self, tmp_path, line):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"id": "b", "scores": {"EM": 1.0}}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"r\.jsonl:2:"):
+            load_results(path, "jsonl")
+
     def test_duplicate_result_ids_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("id,EM\na,1.000000\na,0.000000\n", encoding="utf-8")

@@ -22,11 +22,24 @@ from evalkit import (
     rouge_l,
     rouge_n,
 )
-from evalkit.metrics import CANONICAL_METRICS, _align, canonical_subset
+from evalkit.metrics import (
+    _EXACT_ALIGN_NODE_BUDGET,
+    CANONICAL_METRICS,
+    _align,
+    _align_greedy,
+    _align_path,
+    canonical_subset,
+)
 from evalkit.errors import ConfigError
 
 from conftest import NL_MARKER
-from oracles import align_enumerate, lcs_enumerate, lev_recursive, ngrams_nested_loop
+from oracles import (
+    align_enumerate,
+    align_memo,
+    lcs_enumerate,
+    lev_recursive,
+    ngrams_nested_loop,
+)
 
 tokens = st.lists(st.sampled_from("abc"), max_size=8)
 
@@ -218,6 +231,52 @@ class TestMeteor:
            ref=st.lists(st.sampled_from("ab"), max_size=6))
     def test_alignment_matches_exhaustive_enumeration(self, pred, ref):
         assert _align(pred, ref) == align_enumerate(pred, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=st.sampled_from(["abc", "abcd"]).flatmap(
+        lambda alphabet: st.tuples(st.lists(st.sampled_from(alphabet), max_size=8),
+                                   st.lists(st.sampled_from(alphabet), max_size=8))))
+    def test_alignment_matches_enumeration_on_three_or_four_symbols(self, pair):
+        pred, ref = pair
+        assert _align(pred, ref) == align_enumerate(pred, ref)
+
+    # a 14-token repetitive pair and one-token edits of it; each filled the
+    # former 10,000-state memo cap, whose greedy fallback counted up to 13 chunks
+    _MOV = ["mov", "eax", ",", "eax"] * 3 + ["push", "eax"]
+
+    @pytest.mark.parametrize("pred, ref", [
+        (_MOV, _MOV),
+        (_MOV[:1] + _MOV[2:], _MOV),
+        (_MOV, _MOV[:1] + _MOV[2:]),
+        (_MOV, _MOV[:3] + _MOV[4:]),
+        (_MOV, _MOV[:1] + ["push"] + _MOV[2:]),
+        (["eax"] + _MOV[1:], _MOV),
+        (_MOV[:2] + ["eax"] + _MOV[2:], _MOV),
+    ])
+    def test_alignment_matches_uncapped_memo_oracle(self, pred, ref):
+        assert _align(pred, ref) == align_memo(pred, ref)
+
+    def test_alignment_matches_uncapped_memo_oracle_on_random_pairs(self):
+        rng = random.Random(4)
+        for _ in range(60):
+            alphabet = rng.choice(["ab", "abc", "abcd"])
+            pred = [rng.choice(alphabet) for _ in range(rng.randint(0, 11))]
+            ref = [rng.choice(alphabet) for _ in range(rng.randint(0, 11))]
+            assert _align(pred, ref) == align_memo(pred, ref), (pred, ref)
+
+    def test_node_budget_returns_a_deterministic_maximal_alignment(self):
+        # runs of "a a" can each link only two of the 16 reference copies, so
+        # the optimum is 8 links below the bigram bound of 15; the search
+        # cannot prove that within the budget
+        pred = ["a", "a", "b"] * 133
+        ref = ["a"] * 16
+        result = _align_path(pred, ref)
+        assert result[2] == "budget"
+        assert _align_path(pred, ref) == result
+        greedy_m, greedy_chunks = _align_greedy(pred, ref)
+        assert result[0] == greedy_m == 16
+        assert result[1] <= greedy_chunks
+        assert _EXACT_ALIGN_NODE_BUDGET == 200_000
 
     def test_greedy_fallback_still_maximizes_matches(self):
         # references longer than the exact-search bound take the greedy path
