@@ -23,7 +23,6 @@ from .corpus import (
     load_corpus,
     load_results,
     open_utf8,
-    results_as_mapping,
     split_corpus,
     write_corpus,
     write_results,
@@ -83,10 +82,12 @@ def load_metric_config(path: str | None, checker: str | None = None) -> MetricCo
     kwargs: dict = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open_utf8(path) as fh:
                 obj = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"metrics config not found: {path}") from None
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         allowed = {"metrics", "tokenizers", "meteor_tokenizer", "bleu", "meteor", "checker"}
@@ -165,8 +166,7 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     corpus = load_corpus(args.corpus, _corpus_format(args.corpus, args.format))
-    scores = results_as_mapping(load_results(args.results, "csv"))
-    report = build_report(corpus, scores, include_per_sample=False)
+    report = build_report(corpus, dict(load_results(args.results, "csv")))
     wanted = tuple(report.offset_rows) if args.partition == "all" else (args.partition,)
     offset_rows = {k: report.offset_rows[k] for k in wanted}
     out = Path(args.out)

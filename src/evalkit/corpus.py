@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -71,12 +71,6 @@ class Corpus:
 
     def __iter__(self):
         return iter(self.samples)
-
-    def by_id(self, sample_id: str) -> Sample:
-        for s in self.samples:
-            if s.id == sample_id:
-                return s
-        raise KeyError(sample_id)
 
     @property
     def labeled_samples(self) -> tuple[Sample, ...]:
@@ -347,10 +341,3 @@ def load_results(path, format: str = "csv") -> list[tuple[str, dict[str, float]]
             raise DataError(f"{path}: duplicate result row for id {sample_id!r}")
         seen.add(sample_id)
     return rows
-
-
-def results_as_mapping(
-    rows: Iterable[tuple[str, Mapping[str, float]]]
-) -> dict[str, dict[str, float]]:
-    """Convenience view of result rows keyed by sample id."""
-    return {sample_id: dict(vector) for sample_id, vector in rows}

@@ -20,15 +20,18 @@ from .corpus import Sample
 from .errors import ConfigError
 from .textprep import CODE_TOKENIZER, TokenizerConfig, tokenize
 
-ROUGE_ORDERS = (1, 2, 3, 4)
-BLEU_ORDERS = (1, 2, 3, 4)
+# The n-gram orders of ROUGE-n and BLEU-n.
+NGRAM_ORDERS = (1, 2, 3, 4)
+_ROUGE_N_NAMES = tuple((f"ROUGE-{n}-P", f"ROUGE-{n}-R", f"ROUGE-{n}-F1") for n in NGRAM_ORDERS)
+_BLEU_NAMES = tuple(f"BLEU-{n}" for n in NGRAM_ORDERS)
+_NGRAM_METRICS = frozenset(_BLEU_NAMES).union(*_ROUGE_N_NAMES)
 
 # Canonical metric order: the fixed row order of every report.
 CANONICAL_METRICS: tuple[str, ...] = (
     "CA",
-    *(f"ROUGE-{n}-{part}" for n in ROUGE_ORDERS for part in ("P", "R", "F1")),
+    *(name for names in _ROUGE_N_NAMES for name in names),
     *(f"ROUGE-L-{part}" for part in ("P", "R", "F1")),
-    *(f"BLEU-{n}" for n in BLEU_ORDERS),
+    *_BLEU_NAMES,
     "EM",
     "METEOR",
     "ED",
@@ -50,11 +53,26 @@ def ngrams(seq: Sequence[str], n: int) -> Counter:
     """Multiset of the contiguous n-token windows of seq."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+    return Counter(zip(*(seq[k:] for k in range(n))))
+
+
+def _clipped(pred: Sequence[str], ref: Sequence[str], n: int) -> tuple[int, int, int]:
+    """(clipped matches, pred n-grams, ref n-grams) of order n, the counts
+    that ROUGE-n and BLEU-n are both derived from."""
+    pred_grams = ngrams(pred, n)
+    ref_grams = ngrams(ref, n)
+    match = sum(min(c, ref_grams.get(g, 0)) for g, c in pred_grams.items())
+    return match, max(len(pred) - n + 1, 0), max(len(ref) - n + 1, 0)
 
 
 def _f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if p + r > 0 else 0.0
+
+
+def _prf(match: int, total_pred: int, total_ref: int) -> tuple[float, float, float]:
+    p = match / total_pred if total_pred else 0.0
+    r = match / total_ref if total_ref else 0.0
+    return p, r, _f1(p, r)
 
 
 def rouge_n(pred: Sequence[str], ref: Sequence[str], n: int) -> tuple[float, float, float]:
@@ -63,14 +81,7 @@ def rouge_n(pred: Sequence[str], ref: Sequence[str], n: int) -> tuple[float, flo
     The multiset intersection of n-gram counts is divided by the prediction's
     n-gram count (precision) and the reference's (recall).
     """
-    pred_grams = ngrams(pred, n)
-    ref_grams = ngrams(ref, n)
-    match = sum((pred_grams & ref_grams).values())
-    total_pred = sum(pred_grams.values())
-    total_ref = sum(ref_grams.values())
-    p = match / total_pred if total_pred else 0.0
-    r = match / total_ref if total_ref else 0.0
-    return p, r, _f1(p, r)
+    return _prf(*_clipped(pred, ref, n))
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -102,6 +113,28 @@ BLEU_SMOOTHING_MODES = ("none", "epsilon")
 DEFAULT_BLEU_EPSILON = 0.1
 
 
+def _bleu_scores(
+    counts, pred_len: int, ref_len: int, smoothing: str, epsilon: float
+) -> list[float]:
+    """BLEU-1..len(counts) from the `_clipped` counts of orders 1, 2, ..., as
+    `bleu` defines them: BLEU-n is read off the running log-sum after order n,
+    and an unsmoothed zero precision zeroes its order and every later one."""
+    scores = [0.0] * len(counts)
+    if not pred_len:
+        return scores
+    bp = 1.0 if pred_len >= ref_len else math.exp(1.0 - ref_len / pred_len)
+    log_sum = 0.0
+    for n, (match, total_pred, total_ref) in enumerate(counts, 1):
+        p = match / total_pred if total_pred else (0.0 if total_ref else 1.0)
+        if p == 0.0:
+            if smoothing == "none" or n == 1:
+                break
+            p = epsilon
+        log_sum += math.log(p)
+        scores[n - 1] = bp * math.exp(log_sum / n)
+    return scores
+
+
 def bleu(
     pred: Sequence[str],
     ref: Sequence[str],
@@ -122,25 +155,8 @@ def bleu(
         raise ValueError(f"max_n must be in 1..4, got {max_n}")
     if smoothing not in BLEU_SMOOTHING_MODES:
         raise ConfigError(f"unknown BLEU smoothing {smoothing!r}")
-    if len(pred) == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        pred_grams = ngrams(pred, n)
-        total = sum(pred_grams.values())
-        if total == 0:
-            ref_has = len(ref) >= n
-            p = 0.0 if ref_has else 1.0
-        else:
-            ref_grams = ngrams(ref, n)
-            p = sum((pred_grams & ref_grams).values()) / total
-        if p == 0.0:
-            if smoothing == "none" or n == 1:
-                return 0.0
-            p = epsilon
-        log_sum += math.log(p)
-    bp = 1.0 if len(pred) >= len(ref) else math.exp(1.0 - len(ref) / len(pred))
-    return bp * math.exp(log_sum / max_n)
+    counts = [_clipped(pred, ref, n) for n in range(1, max_n + 1)]
+    return _bleu_scores(counts, len(pred), len(ref), smoothing, epsilon)[-1]
 
 
 @dataclass(frozen=True)
@@ -360,20 +376,15 @@ def evaluate_pair(
     wanted = set(cfg.metrics)
 
     values: dict[str, float] = {}
-    for n in ROUGE_ORDERS:
-        names = (f"ROUGE-{n}-P", f"ROUGE-{n}-R", f"ROUGE-{n}-F1")
-        if wanted & set(names):
-            p, r, f1 = rouge_n(pred, ref, n)
-            values.update(zip(names, (p, r, f1)))
+    if wanted & _NGRAM_METRICS:
+        counts = [_clipped(pred, ref, n) for n in NGRAM_ORDERS]
+        for names, order_counts in zip(_ROUGE_N_NAMES, counts):
+            values.update(zip(names, _prf(*order_counts)))
+        scores = _bleu_scores(counts, len(pred), len(ref), cfg.bleu_smoothing, cfg.bleu_epsilon)
+        values.update(zip(_BLEU_NAMES, scores))
     names = ("ROUGE-L-P", "ROUGE-L-R", "ROUGE-L-F1")
     if wanted & set(names):
-        p, r, f1 = rouge_l(pred, ref)
-        values.update(zip(names, (p, r, f1)))
-    for n in BLEU_ORDERS:
-        if f"BLEU-{n}" in wanted:
-            values[f"BLEU-{n}"] = bleu(
-                pred, ref, max_n=n, smoothing=cfg.bleu_smoothing, epsilon=cfg.bleu_epsilon
-            )
+        values.update(zip(names, rouge_l(pred, ref)))
     if "METEOR" in wanted:
         m_pred = tokenize(prediction, cfg.meteor_tokenizer)
         m_ref = tokenize(reference, cfg.meteor_tokenizer)

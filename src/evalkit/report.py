@@ -9,15 +9,13 @@ documents.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Corpus
 from .errors import DataError
 from .stats import (
     CorrelationRow,
-    DescriptiveStats,
     OffsetRow,
-    Partition,
     correlate,
     describe,
     offsets,
@@ -220,18 +218,12 @@ class AnalysisReport:
     metadata: Mapping[str, str]
     offset_rows: Mapping[str, Sequence[OffsetRow] | None]
     correlation_rows: Sequence[CorrelationRow]
-    means_summary: DescriptiveStats
     per_metric_means: Mapping[str, float]
     sc_marker: float
-    per_sample: Mapping[str, Mapping[str, float]] | None = field(default=None)
 
 
-def build_report(
-    corpus: Corpus,
-    scores: Mapping[str, Mapping[str, float]],
-    include_per_sample: bool = False,
-) -> AnalysisReport:
-    """Run partitioning, offsets, correlation and the means summary."""
+def build_report(corpus: Corpus, scores: Mapping[str, Mapping[str, float]]) -> AnalysisReport:
+    """Run partitioning, offsets and correlation."""
     whole, correct, wrong = partition_by_sc(corpus)
     offset_rows: dict[str, Sequence[OffsetRow] | None] = {}
     for part in (whole, correct, wrong):
@@ -252,8 +244,6 @@ def build_report(
         metadata=metadata,
         offset_rows=offset_rows,
         correlation_rows=correlation_rows,
-        means_summary=describe(list(per_metric_means.values())),
         per_metric_means=per_metric_means,
         sc_marker=marker,
-        per_sample=dict(scores) if include_per_sample else None,
     )

@@ -95,12 +95,11 @@ def offsets(
     missing = [i for i in part.ids if i not in scores]
     if missing:
         raise DataError(f"no scores for sample id(s): {', '.join(missing[:5])}")
-    sc_by_id = {s.id: s.sc for s in corpus if s.labeled}
-    sc_mean = _mean([float(sc_by_id[i]) for i in part.ids])
+    target = sc_mean(corpus, part)
     rows = []
     for metric in _metric_order(scores):
         mean_value = _mean([scores[i][metric] for i in part.ids])
-        rows.append(OffsetRow(metric, mean_value, abs(mean_value - sc_mean)))
+        rows.append(OffsetRow(metric, mean_value, abs(mean_value - target)))
     return rows
 
 

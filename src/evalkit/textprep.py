@@ -14,7 +14,8 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .corpus import open_utf8
+from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
 
@@ -47,9 +48,8 @@ class TokenizerConfig:
             raise ConfigError(f"unknown tokenizer mode {self.mode!r}")
 
 
-# Defaults: code snippets keep case and newline structure; intents are folded.
+# Default for code snippets: keep case and newline structure.
 CODE_TOKENIZER = TokenizerConfig(mode="whitespace", newline_is_token=True)
-INTENT_TOKENIZER = TokenizerConfig(mode="whitespace", lowercase=True)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class StopwordList:
     @classmethod
     def from_file(cls, path) -> "StopwordList":
         words = []
-        with open(path, encoding="utf-8") as fh:
+        with _open_config(path) as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if line:
@@ -113,6 +113,15 @@ class StopwordList:
         if not words:
             raise ConfigError(f"stopword file {path} contains no words")
         return cls.from_words(words)
+
+
+def _open_config(path):
+    """`open_utf8` for a configuration file: a byte sequence that is not
+    UTF-8 raises ConfigError naming the path and line."""
+    try:
+        return open_utf8(path)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def filter_stopwords(seq: TokenSeq, stop: StopwordList) -> TokenSeq:
@@ -186,7 +195,7 @@ DEFAULT_RULES: tuple[tuple[str, str], ...] = (
 def load_rules(path) -> list[tuple[str, re.Pattern]]:
     """Read an ordered name=regex rules file ('#' starts a comment line)."""
     rules = []
-    with open(path, encoding="utf-8") as fh:
+    with _open_config(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

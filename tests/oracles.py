@@ -100,6 +100,48 @@ def ngrams_nested_loop(seq, n: int) -> Counter:
     return Counter(windows)
 
 
+def rouge_n_textbook(pred, ref, n: int) -> tuple[float, float, float]:
+    """ROUGE-n precision / recall / F1 (Lin 2004) from nested-loop n-grams."""
+    pred_grams = ngrams_nested_loop(pred, n)
+    ref_grams = ngrams_nested_loop(ref, n)
+    overlap = sum(min(count, ref_grams[gram]) for gram, count in pred_grams.items())
+    p = overlap / sum(pred_grams.values()) if pred_grams else 0.0
+    r = overlap / sum(ref_grams.values()) if ref_grams else 0.0
+    return p, r, (2 * p * r / (p + r) if p + r > 0 else 0.0)
+
+
+def bleu_textbook(pred, ref, max_n: int, smoothing: str, epsilon: float) -> float:
+    """Single-reference sentence BLEU (Papineni et al. 2002): the brevity
+    penalty times the geometric mean of the modified (clipped) n-gram
+    precisions of orders 1..max_n, each order recounted from scratch.
+
+    An empty prediction scores 0. An order where neither side has an n-gram
+    has precision 1. A zero precision zeroes the score, unless smoothing is
+    "epsilon" and the order is 2 or more, when `epsilon` stands in for it.
+    """
+    if not pred:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        pred_grams = ngrams_nested_loop(pred, n)
+        ref_grams = ngrams_nested_loop(ref, n)
+        clipped = sum(min(count, ref_grams[gram]) for gram, count in pred_grams.items())
+        if pred_grams:
+            precision = clipped / sum(pred_grams.values())
+        else:
+            precision = 0.0 if ref_grams else 1.0
+        if precision == 0.0:
+            if smoothing == "none" or n == 1:
+                return 0.0
+            precision = epsilon
+        log_sum += math.log(precision)
+    if len(pred) >= len(ref):
+        brevity = 1.0
+    else:
+        brevity = math.exp(1.0 - len(ref) / len(pred))
+    return brevity * math.exp(log_sum / max_n)
+
+
 def kendall_pairwise(x, y) -> float | None:
     """Tau-b by direct O(n^2) pair counting."""
     concordant = discordant = tied_x_only = tied_y_only = 0

@@ -290,3 +290,16 @@ class TestExitCodes:
 
     def test_missing_corpus_file_exits_config(self, tmp_path):
         assert run("eval", "--corpus", tmp_path / "none.jsonl", "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize("command, flags, text", [
+        ("eval", ["--metrics-config"], b'{\n"metrics": ["EM", "ED\xff"]\n}\n'),
+        ("preprocess", ["--rules"], b"# rules\nhex=0x\xff[0-9]+\n"),
+        ("preprocess", ["--filter-stopwords", "--stopwords"], b"the\n\xffto\n"),
+    ], ids=["metrics-config", "rules", "stopwords"])
+    def test_non_utf8_config_file_exits_1_naming_line(self, tmp_path, capsys, command, flags, text):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        config = tmp_path / "config.txt"
+        config.write_bytes(text)
+        assert run(command, "--corpus", corpus, "--out", tmp_path / "o", *flags, config) == 1
+        err = capsys.readouterr().err
+        assert f"{config}:2:" in err and "UTF-8" in err

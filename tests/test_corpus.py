@@ -31,8 +31,9 @@ class TestLoadCorpus:
         _write_jsonl(path, GOOD)
         corpus = load_corpus(path, "jsonl")
         assert len(corpus) == 3
-        assert corpus.by_id("s2").sc == 0
-        assert corpus.by_id("s3").sc is None
+        by_id = {s.id: s for s in corpus}
+        assert by_id["s2"].sc == 0
+        assert by_id["s3"].sc is None
         assert [s.id for s in corpus] == ["s1", "s2", "s3"]
 
     def test_invalid_sc_rejected_with_location_and_id(self, tmp_path):

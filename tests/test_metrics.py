@@ -24,6 +24,7 @@ from evalkit import (
 )
 from evalkit.metrics import (
     _EXACT_ALIGN_NODE_BUDGET,
+    BLEU_SMOOTHING_MODES,
     CANONICAL_METRICS,
     _align,
     _align_greedy,
@@ -36,9 +37,11 @@ from conftest import NL_MARKER
 from oracles import (
     align_enumerate,
     align_memo,
+    bleu_textbook,
     lcs_enumerate,
     lev_recursive,
     ngrams_nested_loop,
+    rouge_n_textbook,
 )
 
 tokens = st.lists(st.sampled_from("abc"), max_size=8)
@@ -402,6 +405,33 @@ class TestEvaluatePair:
         cfg = MetricConfig(metrics=("ED", "EM"))
         v = evaluate_pair("a", "b", "other", cfg)
         assert list(v) == ["EM", "ED"]  # canonical order, not request order
+
+    @pytest.mark.parametrize("subset", [("BLEU-4",), ("ROUGE-2-R", "BLEU-1")])
+    def test_ngram_subset_matches_full_vector(self, subset):
+        full_cfg = MetricConfig(checker="none")
+        cfg = MetricConfig(metrics=subset, checker="none")
+        for pred, ref in (
+            ("mov eax, 1\nmov ebx, 2\nint 0x80", "mov eax, 1\nmov ebx, 3\nint 0x80"),
+            ("push eax\npop edx", "mov edx, eax"),
+            ("a b a b a", "a b a"),
+            ("", "a"),
+        ):
+            full = evaluate_pair(pred, ref, "assembly", full_cfg)
+            assert evaluate_pair(pred, ref, "assembly", cfg) == {m: full[m] for m in subset}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), smoothing=st.sampled_from(BLEU_SMOOTHING_MODES))
+    def test_ngram_metrics_equal_oracles_and_public_functions(self, data, smoothing):
+        alphabet = "abc"[: data.draw(st.integers(2, 3), label="alphabet size")]
+        side = st.lists(st.sampled_from(alphabet), max_size=12)
+        pred, ref = data.draw(side, label="pred"), data.draw(side, label="ref")
+        cfg = MetricConfig(bleu_smoothing=smoothing, checker="none")
+        v = evaluate_pair(" ".join(pred), " ".join(ref), "other", cfg)
+        for n in range(1, 5):
+            got = tuple(v[f"ROUGE-{n}-{part}"] for part in ("P", "R", "F1"))
+            assert got == rouge_n(pred, ref, n) == rouge_n_textbook(pred, ref, n), n
+            expected = bleu_textbook(pred, ref, n, smoothing, cfg.bleu_epsilon)
+            assert v[f"BLEU-{n}"] == bleu(pred, ref, n, smoothing, cfg.bleu_epsilon) == expected, n
 
     def test_ca_disabled_when_checker_none(self):
         cfg = MetricConfig(checker=None)
