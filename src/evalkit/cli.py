@@ -108,7 +108,10 @@ def load_metric_config(path: str | None, checker: str | None = None) -> MetricCo
             if bad:
                 raise ConfigError(f"{path}: unknown bleu option(s): {', '.join(sorted(bad))}")
             kwargs["bleu_smoothing"] = obj["bleu"].get("smoothing", "none")
-            kwargs["bleu_epsilon"] = float(obj["bleu"].get("epsilon", DEFAULT_BLEU_EPSILON))
+            try:
+                kwargs["bleu_epsilon"] = float(obj["bleu"].get("epsilon", DEFAULT_BLEU_EPSILON))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path}: bleu epsilon must be a number") from None
         if "meteor" in obj:
             bad = set(obj["meteor"]) - {"alpha", "beta", "gamma"}
             if bad:

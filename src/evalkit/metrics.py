@@ -113,6 +113,13 @@ BLEU_SMOOTHING_MODES = ("none", "epsilon")
 DEFAULT_BLEU_EPSILON = 0.1
 
 
+def _check_bleu_options(smoothing: str, epsilon: float) -> None:
+    if smoothing not in BLEU_SMOOTHING_MODES:
+        raise ConfigError(f"unknown BLEU smoothing {smoothing!r}")
+    if not 0 < epsilon <= 1:  # also rejects NaN
+        raise ConfigError(f"bleu epsilon must be in (0, 1], got {epsilon}")
+
+
 def _bleu_scores(
     counts, pred_len: int, ref_len: int, smoothing: str, epsilon: float
 ) -> list[float]:
@@ -153,8 +160,7 @@ def bleu(
     """
     if not 1 <= max_n <= 4:
         raise ValueError(f"max_n must be in 1..4, got {max_n}")
-    if smoothing not in BLEU_SMOOTHING_MODES:
-        raise ConfigError(f"unknown BLEU smoothing {smoothing!r}")
+    _check_bleu_options(smoothing, epsilon)
     counts = [_clipped(pred, ref, n) for n in range(1, max_n + 1)]
     return _bleu_scores(counts, len(pred), len(ref), smoothing, epsilon)[-1]
 
@@ -190,26 +196,36 @@ _EXACT_ALIGN_NODE_BUDGET = 200_000
 def _align_greedy(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
     """Order-preserving greedy alignment that prefers continuing a chunk.
 
-    It matches every token while the reference has an unused copy, so it
-    reaches the maximum match count.
+    Each prediction token takes the reference position right after the last
+    match when that position holds the same token and is unused, else the
+    first unused position of the token. It matches every token while the
+    reference has an unused copy, so it reaches the maximum match count.
     """
-    used = [False] * len(ref)
-    positions: dict[str, list[int]] = {}
-    for j, tok in enumerate(ref):
-        positions.setdefault(tok, []).append(j)
+    n_ref = len(ref)
+    used = [False] * n_ref
+    # Each token's reference positions, last first. Positions only ever become
+    # used, so dropping used ones from the end as they surface keeps the first
+    # unused position at the end, and the whole pass is linear.
+    unused: dict[str, list[int]] = {}
+    for j in range(n_ref - 1, -1, -1):
+        unused.setdefault(ref[j], []).append(j)
     matches = 0
     chunks = 0
-    chain = -1
+    chain = n_ref
     for tok in pred:
-        cands = [j for j in positions.get(tok, ()) if not used[j]]
-        if not cands:
-            chain = -1
-            continue
-        j = chain if chain in cands else cands[0]
+        if chain < n_ref and ref[chain] == tok and not used[chain]:
+            j = chain
+        else:
+            js = unused.get(tok)
+            while js and used[js[-1]]:
+                js.pop()
+            if not js:
+                chain = n_ref
+                continue
+            j = js.pop()
+            chunks += 1
         used[j] = True
         matches += 1
-        if j != chain:
-            chunks += 1
         chain = j + 1
     return matches, chunks
 
@@ -343,8 +359,7 @@ class MetricConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metrics", canonical_subset(self.metrics))
-        if self.bleu_smoothing not in BLEU_SMOOTHING_MODES:
-            raise ConfigError(f"unknown BLEU smoothing {self.bleu_smoothing!r}")
+        _check_bleu_options(self.bleu_smoothing, self.bleu_epsilon)
         if self.checker == "none":
             object.__setattr__(self, "checker", None)
         if "CA" in self.metrics and self.checker is None:

@@ -148,11 +148,24 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
         raise DataError("pearson needs at least 2 observations")
     if all(a == x[0] for a in x) or all(b == y[0] for b in y):
         return None
-    mx = _mean(x)
+    y_devs, var_y = _centered(y)
+    return _pearson_centered(x, y_devs, var_y)
+
+
+def _centered(y: Sequence[float]) -> tuple[list[float], float]:
+    """Deviations from the mean and the population variance."""
     my = _mean(y)
-    cov = math.fsum((a - mx) * (b - my) for a, b in zip(x, y)) / n
-    var_x = math.fsum((a - mx) ** 2 for a in x) / n
-    var_y = math.fsum((b - my) ** 2 for b in y) / n
+    devs = [b - my for b in y]
+    return devs, math.fsum(d ** 2 for d in devs) / len(devs)
+
+
+def _pearson_centered(x: Sequence[float], y_devs: Sequence[float], var_y: float) -> float | None:
+    """Pearson's r of a non-constant x against y given as `_centered(y)`."""
+    n = len(x)
+    mx = _mean(x)
+    x_devs = [a - mx for a in x]
+    cov = math.fsum([a * b for a, b in zip(x_devs, y_devs)]) / n
+    var_x = math.fsum([a ** 2 for a in x_devs]) / n
     if var_x == 0.0 or var_y == 0.0:
         return None
     r = cov / math.sqrt(var_x * var_y)
@@ -212,27 +225,66 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float | None:
     return max(-1.0, min(1.0, tau))
 
 
+def _binary_concordance(x: Sequence[float], labels: Sequence[int]) -> tuple[int, int]:
+    """(C - D, T_x) of tau-b between x and 0/1 labels, from one sort of x.
+
+    Against a 0/1 variable, C - D is the sum of sign(x1 - x0) over every pair
+    of an sc=1 score x1 and an sc=0 score x0 (Knight 1966). Walking the tie
+    groups of x in ascending order, each 1 in a group is above every 0 of the
+    groups before it, and each 0 below every 1 of them.
+    """
+    ordered = sorted(zip(x, labels))
+    con_minus_dis = x_ties = ones_below = zeros_below = 0
+    i = 0
+    while i < len(ordered):
+        value = ordered[i][0]
+        j = i
+        ones = 0
+        while j < len(ordered) and ordered[j][0] == value:
+            ones += ordered[j][1]
+            j += 1
+        size = j - i
+        zeros = size - ones
+        x_ties += size * (size - 1) // 2
+        con_minus_dis += ones * zeros_below - zeros * ones_below
+        ones_below += ones
+        zeros_below += zeros
+        i = j
+    return con_minus_dis, x_ties
+
+
 def correlate(
     corpus: Corpus, scores: Mapping[str, Mapping[str, float]]
 ) -> list[CorrelationRow]:
     """Pearson and Kendall correlation of each metric with the human labels,
-    over individual labeled samples, in canonical metric order."""
+    over individual labeled samples, in canonical metric order.
+
+    The labels are 0/1, so the label side of both statistics is computed once
+    and each metric's tau-b comes from one sort of its scores. Every value is
+    bitwise equal to `pearson(values, sc)` and `kendall_tau(values, sc)`: the
+    same integer tau-b terms and the same float sums in the same order.
+    """
     labeled = [s for s in corpus if s.labeled]
     if len(labeled) < 2:
         raise DataError(f"correlation needs >= 2 labeled samples, have {len(labeled)}")
     missing = [s.id for s in labeled if s.id not in scores]
     if missing:
         raise DataError(f"no scores for sample id(s): {', '.join(missing[:5])}")
-    sc = [float(s.sc) for s in labeled]
+    n = len(labeled)
+    labels = [int(s.sc) for s in labeled]
+    ones = sum(labels)
+    pairs = n * (n - 1) // 2
+    label_ties = ones * (ones - 1) // 2 + (n - ones) * (n - ones - 1) // 2
+    label_devs, var_y = _centered([float(v) for v in labels])
     rows = []
     for metric in _metric_order(scores):
         values = [scores[s.id][metric] for s in labeled]
-        rows.append(
-            CorrelationRow(
-                metric=metric,
-                pearson_r=pearson(values, sc),
-                kendall_tau=kendall_tau(values, sc),
-                n=len(labeled),
-            )
-        )
+        r = tau = None
+        if label_ties < pairs:
+            con_minus_dis, x_ties = _binary_concordance(values, labels)
+            if x_ties < pairs:
+                r = _pearson_centered(values, label_devs, var_y)
+                tau = con_minus_dis / math.sqrt(pairs - x_ties) / math.sqrt(pairs - label_ties)
+                tau = max(-1.0, min(1.0, tau))
+        rows.append(CorrelationRow(metric=metric, pearson_r=r, kendall_tau=tau, n=n))
     return rows

@@ -250,6 +250,29 @@ def align_memo(pred, ref) -> tuple[int, int]:
     return matches, -neg_chunks
 
 
+def align_greedy_scan(pred, ref) -> tuple[int, int]:
+    """The chunk-preferring greedy alignment, rescanning each token's reference
+    positions for unused ones at every prediction token."""
+    used = [False] * len(ref)
+    positions = {}
+    for j, tok in enumerate(ref):
+        positions.setdefault(tok, []).append(j)
+    matches = chunks = 0
+    chain = -1
+    for tok in pred:
+        cands = [j for j in positions.get(tok, ()) if not used[j]]
+        if not cands:
+            chain = -1
+            continue
+        j = chain if chain in cands else cands[0]
+        used[j] = True
+        matches += 1
+        if j != chain:
+            chunks += 1
+        chain = j + 1
+    return matches, chunks
+
+
 def quantile_sorted(values, q: float) -> float:
     """Linear-interpolation quantile, computed the long way."""
     ordered = sorted(values)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from evalkit.cli import main
+from evalkit.metrics import CANONICAL_METRICS
 
 from conftest import DATA_DIR
 
@@ -100,6 +103,16 @@ class TestEval:
                        "--metrics-config", cfg)
             assert code == 1, payload
 
+    @pytest.mark.parametrize("epsilon", ["0", "-0.1", "5", "NaN", '"x"', "null"])
+    def test_bad_bleu_epsilon_exits_1(self, tmp_path, capsys, epsilon):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        cfg = tmp_path / "m.json"
+        cfg.write_text('{"bleu": {"smoothing": "epsilon", "epsilon": %s}}' % epsilon)
+        code = run("eval", "--corpus", corpus, "--out", tmp_path / "o", "--metrics-config", cfg)
+        assert code == 1
+        assert "bleu epsilon must be" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "results.csv").exists()
+
     def test_metrics_config_applies(self, tmp_path):
         corpus = write_corpus_file(tmp_path, GOOD)
         cfg = tmp_path / "metrics.json"
@@ -167,6 +180,42 @@ class TestAnalyze:
                      "correlation.txt", "correlation.csv", "correlation.md",
                      "boxplot.csv", "sc_marker.csv", "analysis_meta.json"):
             assert (outdir / name).exists(), name
+
+    # sha256 of every analyze output for the corpus below: the bytes written
+    # when each metric is correlated through the general pearson and kendall_tau
+    ANALYZE_SHA256 = {
+        "analysis_meta.json": "23461e6e101714c4b6bc5ffe716304a7934facea2c8518e6785d1ccf15684cc5",
+        "boxplot.csv": "3720b9c1ae2317b66dc4076ec2673bfd5d1b35ce409eb1a41123c0362fa28706",
+        "correlation.csv": "3de386add2a6a0ce805033b74e2cfbb74cfeb557e59199f804c19a7b63693d28",
+        "correlation.md": "69bae771ac2e841147e75a707c4e6e7c1e5b0c92d11c93315d60820ff19e9161",
+        "correlation.txt": "5f84579bdc4375c5d5c521d21acec8d1fb291cc117c22740e3be678d204df763",
+        "offsets.csv": "71cb77fdca360d577756a67b9c52335b105dc7ca5d361b667bdb0b59de991c64",
+        "offsets.md": "e73d6e35766a32e596fb4ee269bb423cd9e3a0874cf12b69fc8a564db0559be9",
+        "offsets.txt": "c25e78b03ea1c7fa8721ff49e630a7bcfcc8dc746faf8a9396a3e4f50796290a",
+        "sc_marker.csv": "cb6baabf9ea73a027ba8c0a93fda6858a048160166d51b17c7f86d618d74c565",
+    }
+
+    def test_output_bytes_pinned(self, tmp_path, monkeypatch):
+        rng = random.Random(6)
+        records, rows = [], []
+        for i in range(200):
+            sc = None if i % 40 == 7 else rng.choice((0, 1))
+            records.append({"id": f"s{i:03d}", "intent": "i", "reference": "r",
+                            "prediction": "p", "language": "assembly",
+                            **({} if sc is None else {"sc": sc})})
+            pool = [0.0, 0.25, 0.5, 0.75, 1.0, 1.0 if sc else 0.0, round(rng.random(), 6)]
+            rows.append([f"s{i:03d}"] + [
+                "0.500000" if metric == "CA" else f"{rng.choice(pool):.6f}"
+                for metric in CANONICAL_METRICS])
+        write_corpus_file(tmp_path, records)
+        with open(tmp_path / "results.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([["id", *CANONICAL_METRICS], *rows])
+        monkeypatch.chdir(tmp_path)
+        assert run("analyze", "--corpus", "corpus.jsonl", "--results", "results.csv",
+                   "--out", "analysis") == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted((tmp_path / "analysis").iterdir())}
+        assert digests == self.ANALYZE_SHA256
 
     def test_fixture_corpus_report_values(self, tmp_path):
         out = tmp_path / "out"

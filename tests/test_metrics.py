@@ -36,6 +36,7 @@ from evalkit.errors import ConfigError
 from conftest import NL_MARKER
 from oracles import (
     align_enumerate,
+    align_greedy_scan,
     align_memo,
     bleu_textbook,
     lcs_enumerate,
@@ -199,6 +200,16 @@ class TestBleu:
         with pytest.raises(ConfigError):
             bleu(list("ab"), list("ab"), smoothing="laplace")
 
+    @pytest.mark.parametrize("epsilon", [0, -0.1, 5, math.nan, math.inf])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(ConfigError, match="bleu epsilon must be in"):
+            MetricConfig(bleu_smoothing="epsilon", bleu_epsilon=epsilon)
+        with pytest.raises(ConfigError, match="bleu epsilon must be in"):
+            bleu(list("abcd"), list("abxd"), smoothing="epsilon", epsilon=epsilon)
+
+    def test_epsilon_of_one_accepted(self):
+        assert MetricConfig(bleu_smoothing="epsilon", bleu_epsilon=1).bleu_epsilon == 1
+
 
 class TestMeteor:
     def test_no_common_unigrams(self):
@@ -295,6 +306,14 @@ class TestMeteor:
             assert m == expected_m
             assert 1 <= chunks <= m
             assert 0.0 <= meteor(pred, ref) <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=st.sampled_from(["a", "ab", "abc"]).flatmap(
+        lambda alphabet: st.tuples(st.lists(st.sampled_from(alphabet), max_size=60),
+                                   st.lists(st.sampled_from(alphabet), max_size=60))))
+    def test_greedy_alignment_matches_the_rescanning_form(self, pair):
+        pred, ref = pair
+        assert _align_greedy(pred, ref) == align_greedy_scan(pred, ref)
 
     def test_exact_search_memo_is_freed_without_the_cyclic_collector(self):
         # a repetitive pair fills the exact search's memo (and overflows its cap)

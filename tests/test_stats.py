@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalkit import Corpus, DataError, correlate, describe, kendall_tau, offsets, partition_by_sc, pearson
 from evalkit.stats import sc_mean
@@ -256,15 +259,18 @@ class TestCorrelate:
 
     def test_constant_metric_flagged_undefined(self):
         corpus = labeled_corpus([1, 0, 1])
-        scores = {s.id: {"ED": 0.7} for s in corpus}
-        (row,) = correlate(corpus, scores)
-        assert row.pearson_r is None and row.kendall_tau is None
+        scores = {s.id: {"EM": 0.3 * i, "ED": 0.7} for i, s in enumerate(corpus)}
+        rows = {r.metric: r for r in correlate(corpus, scores)}
+        assert rows["ED"].pearson_r is None and rows["ED"].kendall_tau is None
+        assert rows["EM"].pearson_r is not None and rows["EM"].kendall_tau is not None
 
     def test_constant_labels_flagged_undefined(self):
-        corpus = labeled_corpus([1, 1, 1])
-        scores = {s.id: {"ED": random.Random(i).random()} for i, s in enumerate(corpus)}
-        (row,) = correlate(corpus, scores)
-        assert row.pearson_r is None and row.kendall_tau is None
+        for labels in ([1, 1, 1], [0, 0, 0, 0]):
+            corpus = labeled_corpus(labels)
+            scores = {s.id: {"EM": float(i % 2), "ED": random.Random(i).random()}
+                      for i, s in enumerate(corpus)}
+            for row in correlate(corpus, scores):
+                assert row.pearson_r is None and row.kendall_tau is None
 
     def test_six_sample_hand_built(self):
         corpus = labeled_corpus([1, 1, 1, 0, 0, 0])
@@ -292,6 +298,41 @@ class TestCorrelate:
                   for i, s in enumerate(corpus)}
         rows = correlate(corpus, scores)
         assert [r.metric for r in rows] == ["CA", "EM", "ED"]
+
+    # scores from a pool of a few values, so most of them tie, with six
+    # decimals like the scores analyze reads from results.csv
+    _tied_samples = st.lists(st.floats(0, 1).map(lambda v: round(v, 6)), max_size=3).flatmap(
+        lambda extra: st.lists(
+            st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.25, 0.5, 1.0, *extra]),
+                      st.sampled_from([0.0, 1.0, *extra])),
+            min_size=2, max_size=60))
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=_tied_samples)
+    def test_equals_general_functions_on_heavy_ties(self, samples):
+        corpus = labeled_corpus([label for label, _, _ in samples])
+        scores = {s.id: {"EM": em, "ED": ed} for s, (_, ed, em) in zip(corpus, samples)}
+        sc = [float(label) for label, _, _ in samples]
+        for row in correlate(corpus, scores):
+            values = [scores[s.id][row.metric] for s in corpus]
+            assert row.pearson_r == pearson(values, sc)
+            assert row.kendall_tau == kendall_tau(values, sc)
+            if len(set(values)) == 1 or len(set(sc)) == 1:
+                assert row.pearson_r is None and row.kendall_tau is None
+                continue
+            # exact fractions keep the oracles' plain sums from rounding
+            exact = [Fraction(v) for v in values]
+            assert row.pearson_r == pytest.approx(point_biserial(exact, sc), abs=1e-12)
+            assert row.kendall_tau == pytest.approx(kendall_pairwise(exact, sc), abs=1e-12)
+
+    @pytest.mark.parametrize("values, expected", [
+        ((0.7, 0.3), 1.0), ((0.3, 0.7), -1.0), ((0.5, 0.5), None)])
+    def test_two_samples(self, values, expected):
+        corpus = labeled_corpus([1, 0])
+        scores = {s.id: {"ED": v} for s, v in zip(corpus, values)}
+        (row,) = correlate(corpus, scores)
+        assert row.pearson_r == row.kendall_tau == expected
+        assert row.n == 2
 
 
 def test_sc_mean_is_partition_mean():
