@@ -40,7 +40,6 @@ from .textprep import (
     StandardizationMap,
     StopwordList,
     TokenizerConfig,
-    TokenSeq,
     destandardize,
     filter_stopwords,
     standardize,

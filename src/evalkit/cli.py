@@ -69,59 +69,88 @@ def _corpus_format(path: str, explicit: str | None) -> str:
     return "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
 
 
-def _tokenizer_from_dict(obj: dict) -> TokenizerConfig:
-    allowed = {"mode", "newline_is_token", "lowercase"}
-    unknown = set(obj) - allowed
+def _object(value, where: str) -> dict:
+    """`value` if it is a JSON object, else a ConfigError naming `where`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _tokenizer_from_dict(obj, where: str) -> TokenizerConfig:
+    unknown = set(_object(obj, where)) - {"mode", "newline_is_token", "lowercase"}
     if unknown:
-        raise ConfigError(f"unknown tokenizer option(s): {', '.join(sorted(unknown))}")
-    return TokenizerConfig(**obj)
+        raise ConfigError(f"unknown {where} option(s): {', '.join(sorted(unknown))}")
+    try:
+        return TokenizerConfig(**obj)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _config_kwargs(obj) -> dict:
+    """MetricConfig keyword arguments from a parsed metrics config file."""
+    allowed = {"metrics", "tokenizers", "meteor_tokenizer", "bleu", "meteor", "checker"}
+    unknown = set(_object(obj, "the top level")) - allowed
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    kwargs: dict = {}
+    if "metrics" in obj:
+        metrics = obj["metrics"]
+        if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
+            raise ConfigError(f"metrics must be a list of metric names, got {json.dumps(metrics)}")
+        kwargs["metrics"] = tuple(metrics)
+    if "tokenizers" in obj:
+        base = dict(MetricConfig().tokenizers)
+        for language, tok in _object(obj["tokenizers"], "tokenizers").items():
+            base[language] = _tokenizer_from_dict(tok, f"tokenizers.{language}")
+        kwargs["tokenizers"] = base
+    if "meteor_tokenizer" in obj:
+        kwargs["meteor_tokenizer"] = _tokenizer_from_dict(
+            obj["meteor_tokenizer"], "meteor_tokenizer"
+        )
+    if "bleu" in obj:
+        bleu = _object(obj["bleu"], "bleu")
+        bad = set(bleu) - {"smoothing", "epsilon"}
+        if bad:
+            raise ConfigError(f"unknown bleu option(s): {', '.join(sorted(bad))}")
+        kwargs["bleu_smoothing"] = bleu.get("smoothing", "none")
+        epsilon = bleu.get("epsilon", DEFAULT_BLEU_EPSILON)
+        if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+            raise ConfigError(f"bleu epsilon must be a number, got {json.dumps(epsilon)}")
+        kwargs["bleu_epsilon"] = float(epsilon)
+    if "meteor" in obj:
+        meteor = _object(obj["meteor"], "meteor")
+        bad = set(meteor) - {"alpha", "beta", "gamma"}
+        if bad:
+            raise ConfigError(f"unknown meteor option(s): {', '.join(sorted(bad))}")
+        kwargs["meteor_params"] = MeteorParams(**meteor)
+    if "checker" in obj:
+        if not isinstance(obj["checker"], str):
+            raise ConfigError(f"checker must be a string, got {json.dumps(obj['checker'])}")
+        kwargs["checker"] = obj["checker"]
+    return kwargs
 
 
 def load_metric_config(path: str | None, checker: str | None = None) -> MetricConfig:
-    """Build a MetricConfig from a JSON file plus an optional checker override."""
-    kwargs: dict = {}
-    if path is not None:
-        try:
-            with open_utf8(path) as fh:
-                obj = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"metrics config not found: {path}") from None
-        except DataError as exc:
-            raise ConfigError(str(exc)) from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        allowed = {"metrics", "tokenizers", "meteor_tokenizer", "bleu", "meteor", "checker"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ConfigError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
-        if "metrics" in obj:
-            kwargs["metrics"] = tuple(obj["metrics"])
-        if "tokenizers" in obj:
-            base = dict(MetricConfig().tokenizers)
-            for language, tok in obj["tokenizers"].items():
-                base[language] = _tokenizer_from_dict(tok)
-            kwargs["tokenizers"] = base
-        if "meteor_tokenizer" in obj:
-            kwargs["meteor_tokenizer"] = _tokenizer_from_dict(obj["meteor_tokenizer"])
-        if "bleu" in obj:
-            bad = set(obj["bleu"]) - {"smoothing", "epsilon"}
-            if bad:
-                raise ConfigError(f"{path}: unknown bleu option(s): {', '.join(sorted(bad))}")
-            kwargs["bleu_smoothing"] = obj["bleu"].get("smoothing", "none")
-            try:
-                kwargs["bleu_epsilon"] = float(obj["bleu"].get("epsilon", DEFAULT_BLEU_EPSILON))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{path}: bleu epsilon must be a number") from None
-        if "meteor" in obj:
-            bad = set(obj["meteor"]) - {"alpha", "beta", "gamma"}
-            if bad:
-                raise ConfigError(f"{path}: unknown meteor option(s): {', '.join(sorted(bad))}")
-            kwargs["meteor_params"] = MeteorParams(**obj["meteor"])
-        if "checker" in obj and checker is None:
-            checker = obj["checker"]
-    if checker is not None:
-        kwargs["checker"] = None if checker == "none" else checker
-    return MetricConfig(**kwargs)
+    """Build a MetricConfig from a JSON file plus an optional checker override.
+
+    A problem with the file's contents raises ConfigError naming the file.
+    """
+    override = {} if checker is None else {"checker": checker}
+    if path is None:
+        return MetricConfig(**override)
+    try:
+        with open_utf8(path) as fh:
+            obj = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"metrics config not found: {path}") from None
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        return MetricConfig(**{**_config_kwargs(obj), **override})
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _config_echo(cfg: MetricConfig, jobs: int) -> str:
@@ -161,7 +190,7 @@ def cmd_eval(args) -> int:
     rows = evaluate_corpus(corpus, cfg, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_results(rows, out / "results.csv", "csv")
+    write_results(rows, out / "results.csv")
     _write_text(out / "run_config.json", _config_echo(cfg, args.jobs))
     print(f"evaluated {len(rows)} samples -> {out / 'results.csv'}")
     return EXIT_OK
@@ -169,7 +198,7 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     corpus = load_corpus(args.corpus, _corpus_format(args.corpus, args.format))
-    report = build_report(corpus, dict(load_results(args.results, "csv")))
+    report = build_report(corpus, dict(load_results(args.results)))
     wanted = tuple(report.offset_rows) if args.partition == "all" else (args.partition,)
     offset_rows = {k: report.offset_rows[k] for k in wanted}
     out = Path(args.out)
@@ -297,6 +326,13 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
+def _job_count(text: str) -> int:
+    """argparse type of --jobs: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="evalkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"evalkit {__version__}")
@@ -313,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--metrics-config", default=None, help="metric configuration JSON")
     p_eval.add_argument("--checker", default=None,
                         help="syntax checker: none | auto | assembly | python | cmd:<template>")
-    p_eval.add_argument("--jobs", type=int, default=1, help="parallel sample evaluations")
+    p_eval.add_argument("--jobs", type=_job_count, default=1,
+                        help="parallel sample evaluations (an integer >= 1)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_an = sub.add_parser("analyze", help="offset, correlation and boxplot reports")

@@ -2,8 +2,9 @@
 
 JSONL is the canonical corpus format (snippets contain commas and newlines that
 CSV handles poorly); CSV is accepted for spreadsheet-born labels. Result tables
-are written with a fixed column order and fixed 6-decimal float formatting so
-reruns are byte-identical and reloading reproduces the written values exactly.
+are CSV, written with a fixed column order and fixed 6-decimal float formatting
+so reruns are byte-identical and reloading reproduces the written values
+exactly.
 """
 
 from __future__ import annotations
@@ -261,80 +262,46 @@ def _check_homogeneous(rows: Sequence[tuple[str, Mapping[str, float]]]) -> list[
     return first or []
 
 
-def write_results(
-    rows: Sequence[tuple[str, Mapping[str, float]]], path, format: str = "csv"
-) -> None:
-    """Write per-sample metric vectors with stable column order and formatting.
+def write_results(rows: Sequence[tuple[str, Mapping[str, float]]], path) -> None:
+    """Write per-sample metric vectors as CSV with stable column order and formatting.
 
     Every vector must cover the same metric set. Floats are printed with six
     decimal digits so output is bit-stable and reloads exactly.
     """
-    path = Path(path)
     metrics = _check_homogeneous(rows)
-    if format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", *metrics])
-            for sample_id, vector in rows:
-                writer.writerow([sample_id, *(_format_score(vector[m]) for m in metrics)])
-    elif format == "jsonl":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for sample_id, vector in rows:
-                scores = ", ".join(
-                    f'"{m}": {_format_score(vector[m])}' for m in metrics
-                )
-                fh.write('{"id": %s, "scores": {%s}}\n' % (json.dumps(sample_id), scores))
-    else:
-        raise DataError(f"unknown results format {format!r} (expected csv or jsonl)")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", *metrics])
+        for sample_id, vector in rows:
+            writer.writerow([sample_id, *(_format_score(vector[m]) for m in metrics)])
 
 
-def _score_vector(items, where: str) -> dict[str, float]:
-    try:
-        vector = {m: float(v) for m, v in items}
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where}: bad score: {exc}") from None
-    for m, value in vector.items():
-        if not 0.0 <= value <= 1.0:  # also rejects nan
-            raise DataError(f"{where}: score {m} = {value} is not in [0, 1]")
-    return vector
-
-
-def load_results(path, format: str = "csv") -> list[tuple[str, dict[str, float]]]:
-    """Read a result table written by write_results.
+def load_results(path) -> list[tuple[str, dict[str, float]]]:
+    """Read a CSV result table written by write_results.
 
     Every score must be a number in [0, 1]; nan and inf are rejected.
     """
-    path = Path(path)
     rows: list[tuple[str, dict[str, float]]] = []
-    if format == "csv":
-        with open_utf8(path, newline="") as fh:
-            reader = csv.reader(fh)
+    with open_utf8(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty results file") from None
+        if not header or header[0] != "id":
+            raise DataError(f"{path}: malformed results header")
+        metrics = header[1:]
+        for lineno, row in enumerate(reader, 2):
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} columns")
             try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty results file") from None
-            if not header or header[0] != "id":
-                raise DataError(f"{path}: malformed results header")
-            metrics = header[1:]
-            for lineno, row in enumerate(reader, 2):
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected {len(header)} columns")
-                rows.append((row[0], _score_vector(zip(metrics, row[1:]), f"{path}:{lineno}")))
-    elif format == "jsonl":
-        with open_utf8(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: JSON parse error: {exc}") from None
-                if not (isinstance(record, dict) and isinstance(record.get("id"), str)
-                        and isinstance(record.get("scores"), dict)):
-                    raise DataError(f"{path}:{lineno}: expected an object with 'id' and 'scores'")
-                rows.append((record["id"], _score_vector(record["scores"].items(), f"{path}:{lineno}")))
-    else:
-        raise DataError(f"unknown results format {format!r} (expected csv or jsonl)")
+                vector = {m: float(v) for m, v in zip(metrics, row[1:])}
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad score: {exc}") from None
+            for m, value in vector.items():
+                if not 0.0 <= value <= 1.0:  # also rejects nan
+                    raise DataError(f"{path}:{lineno}: score {m} = {value} is not in [0, 1]")
+            rows.append((row[0], vector))
     seen: set[str] = set()
     for sample_id, _ in rows:
         if sample_id in seen:

@@ -2,7 +2,7 @@
 
 Twenty-three per-sample scores, all in [0, 1]: compilation accuracy, ROUGE-n
 precision/recall/F1 for n in 1..4, ROUGE-L P/R/F1, BLEU-1..4, exact match,
-METEOR and normalized edit distance. Token metrics operate on TokenSeq values;
+METEOR and normalized edit distance. Token metrics operate on token tuples;
 edit distance and exact match see the raw strings. Any precision/recall/F1
 with a zero denominator is 0.
 """
@@ -10,6 +10,7 @@ with a zero denominator is 0.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -174,9 +175,13 @@ class MeteorParams:
     gamma: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"meteor {name} must be a number, got {value!r}")
         if not 0 < self.alpha < 1:
             raise ConfigError(f"meteor alpha must be in (0,1), got {self.alpha}")
-        if self.beta <= 0:
+        if not self.beta > 0:  # also rejects NaN
             raise ConfigError(f"meteor beta must be > 0, got {self.beta}")
         if not 0 <= self.gamma < 1:
             raise ConfigError(f"meteor gamma must be in [0,1), got {self.gamma}")
@@ -429,7 +434,9 @@ def evaluate_corpus(
     jobs > 1 evaluates samples in a thread pool, which also caps the number of
     concurrent external checker processes.
     """
-    if jobs <= 1:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
         rows = [(s.id, evaluate_sample(s, cfg)) for s in corpus]
     else:
         from concurrent.futures import ThreadPoolExecutor

@@ -1,10 +1,10 @@
 """Text preparation: tokenization, stopword filtering and intent standardization.
 
 Tokenization is explicit and configurable because every token-based metric
-depends on it; a TokenSeq carries the config that produced it so results stay
-auditable. Standardization replaces entity-like spans (numbers, hex literals,
-quoted strings, register names) in natural-language intents with dense "var#"
-placeholders and is inverted by destandardization on model output.
+depends on it; tokens come back as a plain tuple of strings. Standardization
+replaces entity-like spans (numbers, hex literals, quoted strings, register
+names) in natural-language intents with dense "var#" placeholders and is
+inverted by destandardization on model output.
 """
 
 from __future__ import annotations
@@ -46,36 +46,23 @@ class TokenizerConfig:
     def __post_init__(self) -> None:
         if self.mode not in TOKENIZER_MODES:
             raise ConfigError(f"unknown tokenizer mode {self.mode!r}")
+        for name in ("newline_is_token", "lowercase"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"tokenizer {name} must be true or false, got {value!r}")
 
 
 # Default for code snippets: keep case and newline structure.
 CODE_TOKENIZER = TokenizerConfig(mode="whitespace", newline_is_token=True)
 
 
-@dataclass(frozen=True)
-class TokenSeq(Sequence):
-    """An ordered, non-empty-token sequence plus the config that produced it."""
-
-    tokens: tuple[str, ...]
-    config: TokenizerConfig
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __getitem__(self, i):
-        return self.tokens[i]
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-
-def tokenize(text: str, cfg: TokenizerConfig) -> TokenSeq:
-    """Split text into a TokenSeq according to cfg. Empty text yields no tokens."""
+def tokenize(text: str, cfg: TokenizerConfig) -> tuple[str, ...]:
+    """Split text into non-empty tokens according to cfg. Empty text yields none."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     if cfg.lowercase:
         text = text.lower()
     if cfg.mode == "char":
-        return TokenSeq(tuple(text), cfg)
+        return tuple(text)
 
     out: list[str] = []
     for k, segment in enumerate(text.split("\n")):
@@ -85,7 +72,7 @@ def tokenize(text: str, cfg: TokenizerConfig) -> TokenSeq:
             out.extend(t for t in _WS.split(segment) if t)
         else:  # code-punct
             out.extend(_CODE_CHUNK.findall(segment))
-    return TokenSeq(tuple(out), cfg)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -124,10 +111,9 @@ def _open_config(path):
         raise ConfigError(str(exc)) from None
 
 
-def filter_stopwords(seq: TokenSeq, stop: StopwordList) -> TokenSeq:
+def filter_stopwords(seq: Iterable[str], stop: StopwordList) -> tuple[str, ...]:
     """Drop tokens whose lowercase form is a stopword; order preserved."""
-    kept = tuple(t for t in seq.tokens if t.lower() not in stop.words)
-    return TokenSeq(kept, seq.config)
+    return tuple(t for t in seq if t.lower() not in stop.words)
 
 
 _PLACEHOLDER = re.compile(r"\bvar(\d+)\b")

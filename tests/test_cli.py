@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import random
+import threading
 
 import pytest
 
+from evalkit import metrics
 from evalkit.cli import main
 from evalkit.metrics import CANONICAL_METRICS
 
@@ -103,7 +105,7 @@ class TestEval:
                        "--metrics-config", cfg)
             assert code == 1, payload
 
-    @pytest.mark.parametrize("epsilon", ["0", "-0.1", "5", "NaN", '"x"', "null"])
+    @pytest.mark.parametrize("epsilon", ["0", "-0.1", "5", "NaN", '"x"', "null", '"0.1"', "true"])
     def test_bad_bleu_epsilon_exits_1(self, tmp_path, capsys, epsilon):
         corpus = write_corpus_file(tmp_path, GOOD)
         cfg = tmp_path / "m.json"
@@ -112,6 +114,68 @@ class TestEval:
         assert code == 1
         assert "bleu epsilon must be" in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
+
+    @pytest.mark.parametrize("payload, key", [
+        ("5", "top level"),
+        ('{"metrics": 5}', "metrics"),
+        ('{"bleu": 5}', "bleu"),
+        ('{"tokenizers": {"assembly": 5}}', "tokenizers.assembly"),
+        ('{"meteor": {"alpha": "x"}}', "meteor alpha"),
+        ('{"checker": 5}', "checker"),
+        ('{"tokenizers": {"assembly": {"lowercase": "false"}}}', "lowercase"),
+        ('{"meteor": {"beta": NaN}}', "meteor beta must be > 0"),
+    ], ids=["top-level", "metrics", "bleu", "tokenizer", "meteor-alpha", "checker",
+            "lowercase-string", "nan-beta"])
+    def test_config_value_of_wrong_type_exits_1(self, tmp_path, capsys, payload, key):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        cfg = tmp_path / "m.json"
+        cfg.write_text(payload)
+        code = run("eval", "--corpus", corpus, "--out", tmp_path / "o", "--metrics-config", cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: " in err and key in err
+        assert not (tmp_path / "o" / "results.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_1_with_usage(self, tmp_path, capsys, jobs):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        code = run("eval", "--corpus", corpus, "--out", tmp_path / "o", "--jobs", jobs)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--jobs" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_external_checker_runs_in_a_pool_of_jobs_threads(self, tmp_path, monkeypatch):
+        records = [dict(GOOD[i % 3], id=f"s{i}") for i in range(9)]
+        corpus = write_corpus_file(tmp_path, records)
+        alive, log = tmp_path / "alive", tmp_path / "alive.log"
+        alive.mkdir()
+        # each checker process marks itself alive, logs how many are, and
+        # accepts the snippet iff it mentions eax
+        script = (f"touch {alive}/$$; ls {alive} | wc -l >> {log}; sleep 0.02; "
+                  f'rm {alive}/$$; grep -q eax "$1"')
+        checker = f"cmd:sh -c '{script}' sh {{file}}"
+        threads = set()
+        original = metrics.evaluate_sample
+
+        def recording(sample, cfg):
+            threads.add(threading.get_ident())
+            return original(sample, cfg)
+
+        monkeypatch.setattr(metrics, "evaluate_sample", recording)
+        out1, out3 = tmp_path / "o1", tmp_path / "o3"
+        assert run("eval", "--corpus", corpus, "--out", out1, "--checker", checker,
+                   "--jobs", 1) == 0
+        assert threads == {threading.get_ident()}
+        threads.clear()
+        assert run("eval", "--corpus", corpus, "--out", out3, "--checker", checker,
+                   "--jobs", 3) == 0
+        assert threading.get_ident() not in threads and 1 <= len(threads) <= 3
+        assert (out1 / "results.csv").read_bytes() == (out3 / "results.csv").read_bytes()
+        ca = [line.split(",")[1] for line in (out1 / "results.csv").read_text().splitlines()[1:]]
+        assert set(ca) == {"0.000000", "1.000000"}
+        counts = [int(n) for n in log.read_text().split()]
+        assert len(counts) == 2 * len(records) and max(counts) <= 3
 
     def test_metrics_config_applies(self, tmp_path):
         corpus = write_corpus_file(tmp_path, GOOD)
@@ -157,7 +221,7 @@ class TestAnalyze:
         assert code == 2
         assert "labeled" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1.5", "-0.000001"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1.5", "-0.000001", "x", ""])
     def test_non_finite_or_out_of_range_score_exits_2(self, tmp_path, capsys, bad):
         corpus = write_corpus_file(tmp_path, GOOD)
         out = tmp_path / "out"

@@ -160,12 +160,12 @@ def _vector(seed: float) -> dict[str, float]:
 class TestResults:
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_results([], path, "csv")
+        write_results([], path)
         assert path.read_text(encoding="utf-8") == "id\n"
 
     def test_column_count(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_results([("a", _vector(1)), ("b", _vector(2))], path, "csv")
+        write_results([("a", _vector(1)), ("b", _vector(2))], path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         assert all(len(line.split(",")) == 24 for line in lines)
@@ -173,46 +173,24 @@ class TestResults:
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "r.csv"
         rows = [("a", _vector(3)), ("b", _vector(4))]
-        write_results(rows, path, "csv")
-        loaded = load_results(path, "csv")
-        write_results(loaded, tmp_path / "r2.csv", "csv")
+        write_results(rows, path)
+        loaded = load_results(path)
+        write_results(loaded, tmp_path / "r2.csv")
         assert path.read_bytes() == (tmp_path / "r2.csv").read_bytes()
         assert loaded == [(i, v) for i, v in rows]
 
     def test_six_decimal_formatting(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_results([("a", {"EM": 1.0, "ED": 0.5})], path, "csv")
+        write_results([("a", {"EM": 1.0, "ED": 0.5})], path)
         assert path.read_text(encoding="utf-8").splitlines()[1] == "a,1.000000,0.500000"
 
     def test_heterogeneous_metric_sets_rejected(self, tmp_path):
         rows = [("a", {"EM": 1.0}), ("b", {"ED": 1.0})]
         with pytest.raises(DataError, match="heterogeneous"):
-            write_results(rows, tmp_path / "r.csv", "csv")
-
-    def test_jsonl_round_trip(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        rows = [("a", _vector(5))]
-        write_results(rows, path, "jsonl")
-        loaded = load_results(path, "jsonl")
-        assert loaded[0][0] == "a"
-        assert loaded[0][1] == rows[0][1]
-
-    @pytest.mark.parametrize("line", [
-        '{"scores": {"EM": 1.0}}',
-        '{"id": "a"}',
-        '{"id": "a", "scores": [1.0]}',
-        '["a", {"EM": 1.0}]',
-        '{"id": "a", "scores": {"EM": NaN}}',
-        '{"id": "a", "scores": {"EM": "x"}}',
-    ], ids=["no-id", "no-scores", "scores-not-an-object", "not-an-object", "nan", "not-a-number"])
-    def test_malformed_jsonl_result_row_rejected_with_line(self, tmp_path, line):
-        path = tmp_path / "r.jsonl"
-        path.write_text('{"id": "b", "scores": {"EM": 1.0}}\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r"r\.jsonl:2:"):
-            load_results(path, "jsonl")
+            write_results(rows, tmp_path / "r.csv")
 
     def test_duplicate_result_ids_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("id,EM\na,1.000000\na,0.000000\n", encoding="utf-8")
         with pytest.raises(DataError, match="duplicate"):
-            load_results(path, "csv")
+            load_results(path)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from evalkit import (
     MetricConfig,
     bleu,
     edit_distance_norm,
+    evaluate_corpus,
     evaluate_pair,
     exact_match,
     lcs_length,
@@ -22,6 +24,7 @@ from evalkit import (
     rouge_l,
     rouge_n,
 )
+from evalkit import metrics
 from evalkit.metrics import (
     _EXACT_ALIGN_NODE_BUDGET,
     BLEU_SMOOTHING_MODES,
@@ -335,6 +338,13 @@ class TestMeteor:
         with pytest.raises(ConfigError):
             MeteorParams(gamma=1.0)
 
+    @pytest.mark.parametrize("params", [
+        {"beta": math.nan}, {"alpha": "x"}, {"beta": "3"}, {"gamma": None}, {"beta": True},
+    ], ids=["nan-beta", "string-alpha", "string-beta", "null-gamma", "bool-beta"])
+    def test_nan_and_non_numbers_rejected(self, params):
+        with pytest.raises(ConfigError):
+            MeteorParams(**params)
+
 
 class TestEditDistance:
     def test_modulo_fixture(self):
@@ -471,6 +481,33 @@ class TestEvaluatePair:
             language = rng.choice(("assembly", "python-like", "other"))
             for value in evaluate_pair(pred, ref, language, epsilon_config).values():
                 assert 0.0 <= value <= 1.0
+
+
+class TestEvaluateCorpus:
+    @pytest.mark.parametrize("cfg", [
+        MetricConfig(),
+        MetricConfig(checker="python"),
+        MetricConfig(metrics=("EM", "ED"), checker="cmd:false {file}"),
+    ], ids=["auto", "python", "external-checker-without-CA"])
+    def test_pool_gives_the_serial_rows(self, mini_corpus, monkeypatch, cfg):
+        threads = []
+        original = metrics.evaluate_sample
+
+        def recording(sample, cfg):
+            threads.append(threading.get_ident())
+            return original(sample, cfg)
+
+        monkeypatch.setattr(metrics, "evaluate_sample", recording)
+        serial = evaluate_corpus(mini_corpus, cfg, jobs=1)
+        assert threads == [threading.get_ident()] * len(mini_corpus)
+        threads.clear()
+        assert evaluate_corpus(mini_corpus, cfg, jobs=4) == serial
+        assert len(threads) == len(mini_corpus) and threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, mini_corpus, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            evaluate_corpus(mini_corpus, MetricConfig(), jobs=jobs)
 
 
 class TestPublishedRows:

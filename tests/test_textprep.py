@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from evalkit import ConfigError, StandardizationMap, StopwordList, TokenizerConfig
 from evalkit.textprep import (
-    CODE_TOKENIZER,
     DEFAULT_RULES,
     compile_rules,
     destandardize,
@@ -70,6 +69,17 @@ class TestTokenize:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             TokenizerConfig(mode="bytes")
+
+    @pytest.mark.parametrize("flags", [
+        {"lowercase": "false"}, {"newline_is_token": 1}, {"lowercase": None},
+    ], ids=["string-lowercase", "int-newline", "null-lowercase"])
+    def test_non_boolean_flags_rejected(self, flags):
+        with pytest.raises(ConfigError, match="must be true or false"):
+            TokenizerConfig(**flags)
+
+    def test_returns_a_plain_tuple(self):
+        assert tokenize("mov eax, 1", PUNCT) == ("mov", "eax", ",", "1")
+        assert type(tokenize("ab", CHAR)) is tuple
 
     @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=80))
     def test_never_emits_empty_tokens(self, text):
@@ -237,10 +247,7 @@ class TestRulesFile:
 @settings(max_examples=200)
 @given(st.lists(st.sampled_from(["mov", "eax,", "5", "\n", "the"]), max_size=12))
 def test_filter_stopwords_is_a_subsequence(tokens):
-    from evalkit.textprep import TokenSeq
-
     stop = StopwordList.from_words(["the", "5"])
-    seq = TokenSeq(tuple(tokens), CODE_TOKENIZER)
-    filtered = list(filter_stopwords(seq, stop))
+    filtered = list(filter_stopwords(tuple(tokens), stop))
     it = iter(tokens)
     assert all(tok in it for tok in filtered)
