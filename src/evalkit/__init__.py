@@ -49,5 +49,5 @@ from .textprep import (
 
 def kernel_backend() -> str:
     """Name of the sequence-alignment kernel implementation; there is one,
-    the bit-parallel pure-Python kernels in `evalkit._kernels`."""
+    the pure-Python kernels in `evalkit._kernels`."""
     return "python"

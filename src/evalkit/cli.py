@@ -136,8 +136,9 @@ def load_metric_config(path: str | None, checker: str | None = None) -> MetricCo
     A problem with the file's contents raises ConfigError naming the file.
     """
     override = {} if checker is None else {"checker": checker}
+    cfg = MetricConfig(**override)  # so a bad --checker is not reported as the file's
     if path is None:
-        return MetricConfig(**override)
+        return cfg
     try:
         with open_utf8(path) as fh:
             obj = json.load(fh)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import _kernels
 from .checkers import SyntaxChecker, checker_for_language
-from .corpus import Sample
+from .corpus import LANGUAGES, Sample
 from .errors import ConfigError
 from .textprep import CODE_TOKENIZER, TokenizerConfig, tokenize
 
@@ -360,13 +360,36 @@ class MetricConfig:
     bleu_epsilon: float = DEFAULT_BLEU_EPSILON
     meteor_params: MeteorParams = MeteorParams()
     metrics: tuple[str, ...] = CANONICAL_METRICS
+    # a selector (none | auto | assembly | python | cmd:<template>), a
+    # SyntaxChecker, or None; resolved per corpus language once, here
     checker: str | SyntaxChecker | None = "auto"
+    _checkers: Mapping[str, SyntaxChecker | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metrics", canonical_subset(self.metrics))
         _check_bleu_options(self.bleu_smoothing, self.bleu_epsilon)
+        if not isinstance(self.tokenizers, Mapping):
+            raise ConfigError(f"tokenizers must map languages to TokenizerConfigs, got {self.tokenizers!r}")
+        for language, tok in self.tokenizers.items():
+            if language not in LANGUAGES:
+                raise ConfigError(
+                    f"tokenizers.{language}: not a corpus language "
+                    f"(expected one of {', '.join(LANGUAGES)})"
+                )
+            if not isinstance(tok, TokenizerConfig):
+                raise ConfigError(f"tokenizers.{language} must be a TokenizerConfig, got {tok!r}")
         if self.checker == "none":
             object.__setattr__(self, "checker", None)
+        if isinstance(self.checker, str):
+            checkers = {lang: checker_for_language(self.checker, lang) for lang in LANGUAGES}
+        elif self.checker is None or isinstance(self.checker, SyntaxChecker):
+            checkers = dict.fromkeys(LANGUAGES, self.checker)
+        else:
+            raise ConfigError(
+                "checker must be none, auto, assembly, python, cmd:<template>, "
+                f"a SyntaxChecker or None, got {self.checker!r}"
+            )
+        object.__setattr__(self, "_checkers", checkers)
         if "CA" in self.metrics and self.checker is None:
             object.__setattr__(
                 self, "metrics", tuple(m for m in self.metrics if m != "CA")
@@ -379,11 +402,10 @@ class MetricConfig:
             raise ConfigError(f"no tokenizer configured for language {language!r}") from None
 
     def checker_for(self, language: str) -> SyntaxChecker | None:
-        if self.checker is None:
-            return None
-        if isinstance(self.checker, SyntaxChecker):
-            return self.checker
-        return checker_for_language(self.checker, language)
+        try:
+            return self._checkers[language]
+        except KeyError:
+            raise ConfigError(f"no checker for language {language!r}") from None
 
 
 def evaluate_pair(

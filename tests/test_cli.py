@@ -124,8 +124,12 @@ class TestEval:
         ('{"checker": 5}', "checker"),
         ('{"tokenizers": {"assembly": {"lowercase": "false"}}}', "lowercase"),
         ('{"meteor": {"beta": NaN}}', "meteor beta must be > 0"),
+        ('{"tokenizers": {"asembly": {"lowercase": true}}}', "tokenizers.asembly"),
+        ('{"checker": "bogus"}', "unknown checker selector 'bogus'"),
+        ('{"checker": "cmd:true"}', "{file}"),
     ], ids=["top-level", "metrics", "bleu", "tokenizer", "meteor-alpha", "checker",
-            "lowercase-string", "nan-beta"])
+            "lowercase-string", "nan-beta", "tokenizer-language-typo", "checker-selector",
+            "cmd-without-file"])
     def test_config_value_of_wrong_type_exits_1(self, tmp_path, capsys, payload, key):
         corpus = write_corpus_file(tmp_path, GOOD)
         cfg = tmp_path / "m.json"
@@ -135,6 +139,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"{cfg}: " in err and key in err
         assert not (tmp_path / "o" / "results.csv").exists()
+
+    @pytest.mark.parametrize("checker, message", [
+        ("bogus", "unknown checker selector 'bogus'"),
+        ("cmd:true", "{file}"),
+    ])
+    def test_bad_checker_option_exits_1_on_an_empty_corpus(self, tmp_path, capsys, checker, message):
+        corpus = write_corpus_file(tmp_path, [])
+        cfg = tmp_path / "m.json"
+        cfg.write_text("{}")
+        for extra in ((), ("--metrics-config", cfg)):
+            code = run("eval", "--corpus", corpus, "--out", tmp_path / "o", "--checker", checker, *extra)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert message in err and str(cfg) not in err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_1_with_usage(self, tmp_path, capsys, jobs):

@@ -1,14 +1,18 @@
-"""The bit-parallel kernels against brute-force and textbook-DP oracles.
+"""The kernels against brute-force and textbook-DP oracles.
 
 A Python int bit vector has no word size, but the carries and shifts of the
 update must still be right across 30- and 64-bit digit boundaries, so lengths
 around those boundaries (and past a few of them) are covered explicitly.
+Levenshtein's diagonal-transition path is checked on edited strings, with
+budgets on both sides of the distance, and at its switch to the bit-parallel
+path.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +33,21 @@ TOKENS = ("a", "b", "ab", "bc", "c", "(", ")", "\n", "\U0001F600", "x\U0001F600"
 
 def _text(rng: random.Random, n: int, chars: str = CHARS) -> str:
     return "".join(rng.choice(chars) for _ in range(n))
+
+
+def _apply_edits(text: str, edits) -> str:
+    """`text` after (op, position, char) edits: s substitutes, i inserts, d deletes."""
+    chars = list(text)
+    for op, pos, ch in edits:
+        p = pos % (len(chars) + 1)
+        if op == "i":
+            chars.insert(p, ch)
+        elif p < len(chars):
+            if op == "d":
+                del chars[p]
+            else:
+                chars[p] = ch
+    return "".join(chars)
 
 
 def _check_lev(a: str, b: str) -> None:
@@ -137,3 +156,51 @@ def test_levenshtein_matches_dp(a, b):
 @given(st.lists(st.sampled_from(TOKENS), max_size=300), st.lists(st.sampled_from(TOKENS), max_size=300))
 def test_lcs_matches_dp(a, b):
     _check_lcs(a, b)
+
+
+# levenshtein sends unrelated strings, and short edited ones, to the
+# bit-parallel path, so the edited case also calls diagonal transition directly.
+EDITS = st.lists(st.tuples(st.sampled_from("sid"), st.integers(0, 10**6), st.sampled_from(CHARS)),
+                 max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet=CHARS, max_size=600), EDITS)
+def test_levenshtein_of_edited_strings_matches_dp(text, edits):
+    edited = _apply_edits(text, edits)
+    expected = lev_dp(text, edited)
+    for a, b in ((text, edited), (edited, text)):
+        assert _kernels.levenshtein(a, b) == expected
+        # each operation makes at most one edit, so this budget always suffices
+        assert _kernels._diagonal_transition(a, b, len(edits)) == expected
+
+
+def test_diagonal_transition_is_exact_within_its_budget_and_none_past_it():
+    rng = random.Random(21)
+    pairs = []
+    for _ in range(60):
+        a = _text(rng, rng.randint(0, 200))
+        edits = [(rng.choice("sid"), rng.randrange(10**6), rng.choice(CHARS)) for _ in range(rng.randint(0, 25))]
+        pairs.append((a, _apply_edits(a, edits)))
+        pairs.append((_text(rng, rng.randint(0, 40), "ab"), _text(rng, rng.randint(0, 40), "ab")))
+    for a, b in pairs:
+        dist = lev_dp(a, b)
+        for budget in {0, 1, max(dist - 1, 0), dist, 50}:
+            expected = dist if dist <= budget else None
+            assert _kernels._diagonal_transition(a, b, budget) == expected, (a, b, budget)
+            assert _kernels._diagonal_transition(b, a, budget) == expected, (b, a, budget)
+
+
+@pytest.mark.parametrize("n", [30, 100, 460])
+def test_pairs_that_differ_only_in_a_prefix_a_suffix_or_their_length(n):
+    rng = random.Random(n)
+    common = _text(rng, n)
+    budget = _kernels._diagonal_budget(n, n)
+    # the last k also takes the length difference past the budget of every pair below
+    for k in sorted({1, budget, budget + 1, budget + 9}):
+        head_a, head_b = _text(rng, k), _text(rng, k)
+        _check_lev(head_a + common, head_b + common)
+        _check_lev(common + head_a, common + head_b)
+        _check_lev(common, common + head_a)
+        _check_lev(head_a + common, common)
+        _check_lev(common[: n // 2] + head_a + common[n // 2 :], common)

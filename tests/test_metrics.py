@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import re
 import threading
 
 import pytest
@@ -34,7 +35,10 @@ from evalkit.metrics import (
     _align_path,
     canonical_subset,
 )
+from evalkit.checkers import ASSEMBLY_CHECKER, PYTHON_LIKE_CHECKER
+from evalkit.corpus import LANGUAGES
 from evalkit.errors import ConfigError
+from evalkit.textprep import CODE_TOKENIZER
 
 from conftest import NL_MARKER
 from oracles import (
@@ -467,6 +471,44 @@ class TestEvaluatePair:
         v = evaluate_pair("a", "a", "other", cfg)
         assert "CA" not in v
         assert len(v) == 22
+
+    @pytest.mark.parametrize("selector, expected", [
+        ("none", (None, None, None)),
+        (None, (None, None, None)),
+        ("auto", (ASSEMBLY_CHECKER, PYTHON_LIKE_CHECKER, PYTHON_LIKE_CHECKER)),
+        ("assembly", (ASSEMBLY_CHECKER,) * 3),
+        ("python", (PYTHON_LIKE_CHECKER,) * 3),
+        (ASSEMBLY_CHECKER, (ASSEMBLY_CHECKER,) * 3),
+    ])
+    def test_checker_resolved_per_language(self, selector, expected):
+        cfg = MetricConfig(checker=selector)
+        assert tuple(cfg.checker_for(lang) for lang in LANGUAGES) == expected
+
+    def test_cmd_checker_resolved_for_every_language(self):
+        cfg = MetricConfig(checker="cmd:true {file}")
+        assert {(c.kind, c.command) for c in map(cfg.checker_for, LANGUAGES)} == {
+            ("external-command", "true {file}")}
+
+    @pytest.mark.parametrize("checker, message", [
+        (5, "got 5"),
+        (True, "got True"),
+        (["auto"], "got ['auto']"),
+        ("bogus", "unknown checker selector 'bogus'"),
+        ("cmd:true", "{file}"),
+    ])
+    def test_bad_checker_rejected_at_construction(self, checker, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            MetricConfig(checker=checker)
+
+    @pytest.mark.parametrize("tokenizers, message", [
+        ({"asembly": CODE_TOKENIZER}, "tokenizers.asembly: not a corpus language"),
+        ({"assembly": {"lowercase": True}}, "tokenizers.assembly must be a TokenizerConfig"),
+        ({"other": None}, "tokenizers.other must be a TokenizerConfig"),
+        ([("assembly", CODE_TOKENIZER)], "tokenizers must map languages"),
+    ])
+    def test_bad_tokenizers_rejected_at_construction(self, tokenizers, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            MetricConfig(tokenizers=tokenizers)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigError):
