@@ -8,6 +8,8 @@ problems (missing binary, sandbox failure) raise CheckerError instead.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import re
 import shlex
@@ -116,8 +118,13 @@ class SyntaxChecker:
         if self.kind == "external-command":
             if not self.command or "{file}" not in self.command:
                 raise ConfigError("external checker needs a command template with {file}")
-            if not self.timeout or self.timeout <= 0:
-                raise ConfigError("external checker needs a positive timeout")
+            timeout = self.timeout
+            if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not (
+                0 < timeout < math.inf  # also rejects NaN
+            ):
+                raise ConfigError(
+                    f"external checker needs a finite timeout > 0 seconds, got {timeout!r}"
+                )
 
     def check(self, snippet: str) -> CheckResult:
         if self.kind == "builtin-assembly-subset":

@@ -37,11 +37,11 @@ from .metrics import (
 )
 from .report import build_report, render_boxplot_data, render_correlation_table, render_offset_table, render_sc_marker
 from .textprep import (
-    DEFAULT_RULES,
     StandardizationMap,
     StopwordList,
     TokenizerConfig,
-    compile_rules,
+    default_rules,
+    default_stopwords,
     destandardize,
     filter_stopwords,
     load_rules,
@@ -223,15 +223,7 @@ def _stopword_list(args) -> StopwordList | None:
     if not args.filter_stopwords:
         return None
     path = args.stopwords or os.environ.get(STOPWORDS_ENV)
-    if path:
-        return StopwordList.from_file(path)
-    from importlib.resources import files
-
-    default = files("evalkit.data").joinpath("stopwords.txt")
-    return StopwordList.from_words(
-        line.split("#", 1)[0].strip()
-        for line in default.read_text(encoding="utf-8").splitlines()
-    )
+    return StopwordList.from_file(path) if path else default_stopwords()
 
 
 def _load_sidecar(path: Path) -> dict[str, StandardizationMap]:
@@ -284,10 +276,7 @@ def cmd_preprocess(args) -> int:
         print(f"destandardized {len(restored)} samples -> {out / 'corpus.jsonl'}")
         return EXIT_OK
 
-    if args.rules:
-        rules = load_rules(args.rules)
-    else:
-        rules = compile_rules(DEFAULT_RULES)
+    rules = load_rules(args.rules) if args.rules else default_rules()
     stopwords = _stopword_list(args)
     processed = []
     with open(sidecar_path, "w", encoding="utf-8", newline="\n") as side:

@@ -188,14 +188,13 @@ class MeteorParams:
 
 
 # Minimum-chunk alignment contains Minimum Common String Partition, which is
-# NP-hard (Goldstein, Kolman & Zheng 2005), so the exact search has an explicit
-# bound. Length rule: it runs only when ref has at most 16 tokens and pred at
-# most 400; longer pairs take the greedy alignment. Node budget: after
-# 200,000 search nodes it returns the best alignment found so far, which is
-# never worse than greedy's. Both are deterministic.
+# NP-hard (Goldstein, Kolman & Zheng 2005) but fixed-parameter tractable in the
+# number of parts (Bulteau & Komusiewicz 2014). The exact search below takes
+# a number of steps bounded by a function of the reference length alone, each
+# a substring search in the prediction, so it runs when ref has at most 16
+# tokens, whatever the prediction's length; longer references take the greedy
+# alignment. Raising the limit changes scores.
 _EXACT_ALIGN_MAX_REF = 16
-_EXACT_ALIGN_MAX_PRED = 400
-_EXACT_ALIGN_NODE_BUDGET = 200_000
 
 
 def _align_greedy(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
@@ -235,62 +234,96 @@ def _align_greedy(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
     return matches, chunks
 
 
-def _max_links(sites: list[tuple[int, list[int]]], best: int, upper: int) -> tuple[int, bool]:
-    """Most links over all alignments, by iterative depth-first branch and bound.
+def _most_links(
+    pred: str,
+    ref: str,
+    longest: list[int],
+    reach: list[int],
+    matches: int,
+    a: int,
+    links: int,
+    segments: list[str],
+    ends: list[float],
+    best: int,
+) -> int:
+    """Most links over the sets of disjoint reference segments that extend the
+    chosen `segments` with segments starting at ref position a or later, by
+    depth-first branch and bound; `best` is the incumbent, at least `links`.
 
-    A link (i, j) aligns pred[i] to ref[j] and pred[i + 1] to ref[j + 1];
-    `sites` pairs each pred position i having candidate links with their js. A
-    node is (next site, used ref positions as a bitmask, ref position pred[i]
-    is already aligned to or -1, links so far). A branch is dropped once
-    linking every site left could not beat the incumbent `best`. Returns the
-    most links found and whether the node budget left that proven.
+    pred and ref spell one character per token. A segment of w tokens placed
+    on an equal, disjoint stretch of pred gives w - 1 links. ends[mask] is the
+    earliest end of a disjoint placement of the segments whose bits are set in
+    mask, or inf if there is none. For a fixed order in pred, placing each
+    segment at its first start at or after the previous one's end is optimal,
+    so ends[mask] is the least, over the segment placed last, of that
+    segment's first start at or after ends[mask without it], plus w. The
+    search tries the segments at a longest first (longest[a] tokens is the
+    longest that occurs in pred), then skips a. reach[a], the most links from
+    a on with overlaps in pred ignored, prunes it.
     """
-    stack = [(0, 0, -1, 0)]
-    nodes = 0
-    while stack:
-        k, used, bound, links = stack.pop()
-        if links > best:
-            best = links
-            if best == upper:
-                return best, True
-        if links + len(sites) - k <= best:
-            continue
-        nodes += 1
-        if nodes > _EXACT_ALIGN_NODE_BUDGET:
-            return best, False
-        i, js = sites[k]
-        follows = k + 1 < len(sites) and sites[k + 1][0] == i + 1
-        stack.append((k + 1, used, -1, links))
-        for j in reversed(js):
-            if (j != bound if bound >= 0 else used >> j & 1) or used >> (j + 1) & 1:
+    # a set of s segments leaves at least s chunks of the m matches
+    most = matches - len(segments) - 1
+    while best < min(most, links + reach[a]):
+        size = len(ends)
+        for w in range(longest[a], 1, -1):
+            if links + w - 1 + reach[a + w] <= best:
                 continue
-            stack.append((k + 1, used | 3 << j, j + 1 if follows else -1, links + 1))
-    return best, True
+            segment = ref[a : a + w]
+            segments.append(segment)
+            for mask in range(size):
+                end = ends[mask]
+                if end != math.inf:
+                    start = pred.find(segment, end)
+                    end = start + w if start >= 0 else math.inf
+                    rest = mask
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        other = segments[low.bit_length() - 1]
+                        before = ends[mask ^ low | size]
+                        if before + len(other) < end:
+                            start = pred.find(other, before)
+                            if start >= 0 and start + len(other) < end:
+                                end = start + len(other)
+                ends.append(end)
+            if ends[-1] != math.inf:
+                best = _most_links(
+                    pred, ref, longest, reach, matches, a + w, links + w - 1, segments, ends,
+                    max(best, links + w - 1),
+                )
+            del ends[size:]
+            segments.pop()
+        a += 1
+    return best
 
 
 def _align_path(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int, str]:
     """`_align` plus the path that produced it: "greedy-by-length",
-    "greedy-proven" (greedy meets the link bound), "exact" or "budget"."""
+    "greedy-proven" (greedy meets the link bound) or "exact"."""
     m, chunks = _align_greedy(pred, ref)
-    if len(ref) > _EXACT_ALIGN_MAX_REF or len(pred) > _EXACT_ALIGN_MAX_PRED:
+    if len(ref) > _EXACT_ALIGN_MAX_REF:
         return m, chunks, "greedy-by-length"
     # Every partial alignment extends to one with m matches, so the fewest
     # chunks is m minus the most links. Links pair off equal bigrams of the two
     # sides, so their count is at most the shared bigrams, and at most m - 1.
-    starts: dict[tuple[str, str], list[int]] = {}
-    for j in range(len(ref) - 1):
-        starts.setdefault((ref[j], ref[j + 1]), []).append(j)
-    sites = []
-    for i in range(len(pred) - 1):
-        js = starts.get((pred[i], pred[i + 1]))
-        if js:
-            sites.append((i, js))
-    shared = Counter((pred[i], pred[i + 1]) for i, _ in sites)
-    upper = min(m - 1, sum(min(c, len(starts[bg])) for bg, c in shared.items()))
-    if m - chunks >= upper:
+    upper = sum((Counter(zip(ref, ref[1:])) & Counter(zip(pred, pred[1:]))).values())
+    if m - chunks >= min(m - 1, upper):
         return m, chunks, "greedy-proven"
-    links, proven = _max_links(sites, m - chunks, upper)
-    return m, m - links, "exact" if proven else "budget"
+    # one character per reference token, and "\0" for any other token, so
+    # that str.find locates segments
+    codes = {tok: chr(i) for i, tok in enumerate(dict.fromkeys(ref), 1)}
+    ref_text = "".join([codes[tok] for tok in ref])
+    pred_text = "".join([codes.get(tok, "\0") for tok in pred])
+    longest = [1] * len(ref)
+    reach = [0] * (len(ref) + 1)
+    for a in range(len(ref) - 2, -1, -1):
+        w = 1
+        while a + w < len(ref) and ref_text[a : a + w + 1] in pred_text:
+            w += 1
+        longest[a] = w
+        reach[a] = max([reach[a + 1]] + [v - 1 + reach[a + v] for v in range(2, w + 1)])
+    links = _most_links(pred_text, ref_text, longest, reach, m, 0, 0, [], [0], m - chunks)
+    return m, m - links, "exact"
 
 
 def _align(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
@@ -298,7 +331,7 @@ def _align(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
 
     Matches are maximized first (per-token minimum of occurrence counts), then
     the number of chunks (maximal runs contiguous in both sequences) is
-    minimized, within the length rule and node budget above.
+    minimized, exactly when ref has at most 16 tokens, else greedily.
     """
     m, chunks, _ = _align_path(pred, ref)
     return m, chunks

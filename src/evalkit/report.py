@@ -56,21 +56,19 @@ def _render_rows(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str)
     raise DataError(f"unknown render format {fmt!r} (expected txt, csv or md)")
 
 
-def _flags(offsets_by_metric: Mapping[str, float]) -> dict[str, str]:
-    """Flag min-offset metrics "best" and max-offset "worst"; ties share flags."""
-    if not offsets_by_metric:
+def _flags(values: Mapping[str, float | None], lower_is_better: bool) -> dict[str, str]:
+    """Flag the metrics at the better end "best" and those at the other end
+    "worst"; ties share flags, and metrics whose value is None get none."""
+    defined = {metric: value for metric, value in values.items() if value is not None}
+    if not defined:
         return {}
-    lo = min(offsets_by_metric.values())
-    hi = max(offsets_by_metric.values())
-    flags = {}
-    for metric, value in offsets_by_metric.items():
-        if value == lo:
-            flags[metric] = "best"
-        elif value == hi:
-            flags[metric] = "worst"
-        else:
-            flags[metric] = ""
-    return flags
+    lo = min(defined.values())
+    hi = max(defined.values())
+    best, worst = (lo, hi) if lower_is_better else (hi, lo)
+    return {
+        metric: "best" if value == best else "worst" if value == worst else ""
+        for metric, value in defined.items()
+    }
 
 
 def render_offset_table(
@@ -97,7 +95,7 @@ def render_offset_table(
         if rows is None:
             continue
         by_part[part] = {r.metric: r for r in rows}
-        flags[part] = _flags({r.metric: r.offset for r in rows})
+        flags[part] = _flags({r.metric: r.offset for r in rows}, lower_is_better=True)
 
     header = ["metric"]
     for part in partitions:
@@ -132,8 +130,8 @@ def render_correlation_table(rows: Sequence[CorrelationRow], fmt: str = "txt") -
     "undef" and are excluded from the averages, with a note saying how many."""
     if not rows:
         raise DataError("correlation table needs at least one row")
-    r_flags = _flags_correlation([r.pearson_r for r in rows], [r.metric for r in rows])
-    t_flags = _flags_correlation([r.kendall_tau for r in rows], [r.metric for r in rows])
+    r_flags = _flags({r.metric: r.pearson_r for r in rows}, lower_is_better=False)
+    t_flags = _flags({r.metric: r.kendall_tau for r in rows}, lower_is_better=False)
     header = ["metric", "pearson_r", "r_flag", "kendall_tau", "tau_flag", "n"]
     table = []
     for row in rows:
@@ -168,23 +166,6 @@ def render_correlation_table(rows: Sequence[CorrelationRow], fmt: str = "txt") -
         else:
             doc += f"{note}\n"
     return doc
-
-
-def _flags_correlation(values: Sequence[float | None], metrics: Sequence[str]) -> dict[str, str]:
-    defined = {m: v for m, v in zip(metrics, values) if v is not None}
-    if not defined:
-        return {}
-    hi = max(defined.values())
-    lo = min(defined.values())
-    flags = {}
-    for m, v in defined.items():
-        if v == hi:
-            flags[m] = "best"
-        elif v == lo:
-            flags[m] = "worst"
-        else:
-            flags[m] = ""
-    return flags
 
 
 def render_boxplot_data(per_metric_means: Mapping[str, float], fmt: str = "csv") -> str:

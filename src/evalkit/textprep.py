@@ -168,16 +168,6 @@ def compile_rules(
     return compiled
 
 
-# Built-in entity rules, in priority order. Quoted strings go first so hex or
-# decimal literals inside quotes are captured whole.
-DEFAULT_RULES: tuple[tuple[str, str], ...] = (
-    ("quoted-string", r"\"[^\"]*\"|'[^']*'"),
-    ("hex-literal", r"0[xX][0-9a-fA-F]+"),
-    ("decimal-literal", r"(?<![\w.])\d+(?:\.\d+)?(?![\w.])"),
-    ("register-name", r"(?i:\b(?:[er]?(?:ax|bx|cx|dx|si|di|bp|sp)|[abcd][lh]|[er]?ip|r(?:8|9|1[0-5])[dwb]?)\b)"),
-)
-
-
 def load_rules(path) -> list[tuple[str, re.Pattern]]:
     """Read an ordered name=regex rules file ('#' starts a comment line)."""
     rules = []
@@ -193,6 +183,25 @@ def load_rules(path) -> list[tuple[str, re.Pattern]]:
     if not rules:
         raise ConfigError(f"rules file {path} contains no rules")
     return compile_rules(rules)
+
+
+def _packaged(name: str):
+    """A context manager giving the path of the packaged data file `name`."""
+    from importlib.resources import as_file, files
+
+    return as_file(files("evalkit.data") / name)
+
+
+def default_rules() -> list[tuple[str, re.Pattern]]:
+    """The built-in entity rules of `data/rules_default.txt`, in priority order."""
+    with _packaged("rules_default.txt") as path:
+        return load_rules(path)
+
+
+def default_stopwords() -> StopwordList:
+    """The built-in stopword list of `data/stopwords.txt`."""
+    with _packaged("stopwords.txt") as path:
+        return StopwordList.from_file(path)
 
 
 def standardize(

@@ -167,8 +167,11 @@ class TestExternal:
             SyntaxChecker(name="bad", kind="external-command", command="true", timeout=5)
 
     def test_timeout_mandatory(self):
-        with pytest.raises(ConfigError):
-            SyntaxChecker(name="bad", kind="external-command", command="x {file}", timeout=0)
+        # NaN would turn the timeout off, and True would pass for 1 second
+        for timeout in (0, -1, None, float("nan"), float("inf"), True, "5"):
+            with pytest.raises(ConfigError):
+                SyntaxChecker(name="bad", kind="external-command", command="x {file}",
+                              timeout=timeout)
 
 
 class TestSelector:

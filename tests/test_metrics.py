@@ -27,7 +27,6 @@ from evalkit import (
 )
 from evalkit import metrics
 from evalkit.metrics import (
-    _EXACT_ALIGN_NODE_BUDGET,
     BLEU_SMOOTHING_MODES,
     CANONICAL_METRICS,
     _align,
@@ -53,6 +52,30 @@ from oracles import (
 )
 
 tokens = st.lists(st.sampled_from("abc"), max_size=8)
+
+_ASM_REF = ["push", "ebp", "\n", "mov", "ebp", ",", "esp", "\n",
+            "xor", "eax", ",", "eax", "\n", "pop", "ebp", "ret"]
+
+
+def _pathological_pairs() -> list[tuple[list[str], list[str]]]:
+    """Pairs with 16-token references that defeat greedy alignment: "a a b"
+    repeated against 16 "a"s; 83 predictions of 20-400 tokens made of
+    fragments of one assembly reference, as degenerate repetition in model
+    output makes them; and 120 random 400 x 16 pairs over 5-12 symbols."""
+    rng = random.Random(5)
+    pairs = [(["a", "a", "b"] * 133, ["a"] * 16)]
+    for _ in range(83):
+        size = rng.randint(20, 400)
+        pred: list[str] = []
+        while len(pred) < size:
+            a = rng.randrange(16)
+            pred += _ASM_REF[a:a + rng.randint(1, 6)]
+        pairs.append((pred[:size], _ASM_REF))
+    for _ in range(120):
+        symbols = "abcdefghijkl"[:rng.randint(5, 12)]
+        pairs.append(([rng.choice(symbols) for _ in range(400)],
+                      [rng.choice(symbols) for _ in range(16)]))
+    return pairs
 
 
 class TestNgrams:
@@ -285,19 +308,43 @@ class TestMeteor:
             ref = [rng.choice(alphabet) for _ in range(rng.randint(0, 11))]
             assert _align(pred, ref) == align_memo(pred, ref), (pred, ref)
 
-    def test_node_budget_returns_a_deterministic_maximal_alignment(self):
+    @settings(max_examples=150, deadline=None)
+    @given(pair=st.sampled_from(["ab", "abc", "abcd"]).flatmap(
+        lambda alphabet: st.tuples(st.lists(st.sampled_from(alphabet), max_size=12),
+                                   st.lists(st.sampled_from(alphabet), max_size=12))))
+    def test_alignment_matches_uncapped_memo_oracle_up_to_twelve_tokens(self, pair):
+        pred, ref = pair
+        assert _align(pred, ref) == align_memo(pred, ref)
+
+    def test_repetitive_prediction_is_aligned_exactly(self):
         # runs of "a a" can each link only two of the 16 reference copies, so
-        # the optimum is 8 links below the bigram bound of 15; the search
-        # cannot prove that within the budget
-        pred = ["a", "a", "b"] * 133
-        ref = ["a"] * 16
-        result = _align_path(pred, ref)
-        assert result[2] == "budget"
-        assert _align_path(pred, ref) == result
-        greedy_m, greedy_chunks = _align_greedy(pred, ref)
-        assert result[0] == greedy_m == 16
-        assert result[1] <= greedy_chunks
-        assert _EXACT_ALIGN_NODE_BUDGET == 200_000
+        # the optimum is 8 links below the bigram bound of 15
+        assert _align_path(["a", "a", "b"] * 133, ["a"] * 16) == (16, 8, "exact")
+
+    # 16-token two-symbol pairs on which a search capped at 200,000 nodes
+    # stopped above the fewest chunks; the expected values are align_memo's,
+    # written out because that oracle takes over 10 s on each
+    @pytest.mark.parametrize("pred, ref, expected", [
+        ("babbabaabbabbabbbaaabbaa", "babbbabaaaaabbbb", (16, 4)),
+        ("bababaabbbbaaaaaaabbbaab", "aabbbabaabaaabba", (16, 4)),
+        ("aabbbaaabbaaabababbbaaba", "aaabbbbaababbabb", (16, 4)),
+        ("abaababaaabbbabaabaaabab", "babababbababbbaa", (16, 5)),
+        ("babaabbaabbaaababbbaabaa", "aaabbbbaabaaabaa", (16, 3)),
+    ])
+    def test_alignment_matches_memo_oracle_on_sixteen_token_pairs(self, pred, ref, expected):
+        assert _align_path(list(pred), list(ref)) == (*expected, "exact")
+
+    def test_pathological_pairs_are_aligned_exactly_and_no_worse_than_greedy(self):
+        from collections import Counter
+
+        pairs = _pathological_pairs()
+        assert len(pairs) == 204
+        for pred, ref in pairs:
+            m, chunks, path = _align_path(pred, ref)
+            greedy_m, greedy_chunks = _align_greedy(pred, ref)
+            assert path == "exact"
+            assert m == greedy_m == sum((Counter(pred) & Counter(ref)).values())
+            assert 1 <= chunks <= greedy_chunks
 
     def test_greedy_fallback_still_maximizes_matches(self):
         # references longer than the exact-search bound take the greedy path
@@ -323,12 +370,12 @@ class TestMeteor:
         assert _align_greedy(pred, ref) == align_greedy_scan(pred, ref)
 
     def test_exact_search_memo_is_freed_without_the_cyclic_collector(self):
-        # a repetitive pair fills the exact search's memo (and overflows its cap)
-        tokens = ["mov", "eax", ",", "eax"] * 3 + ["push", "eax"]
+        # a pair that greedy cannot settle, so the exact search builds its tables
+        pred, ref = list("babaabbaabbaaababbbaabaa"), list("aaabbbbaabaaabaa")
         gc.collect()
         gc.disable()
         try:
-            assert _align(tokens, list(tokens)) == (14, 1)
+            assert _align_path(pred, ref) == (16, 3, "exact")
             leftover = gc.collect()
         finally:
             gc.enable()

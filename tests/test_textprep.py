@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from evalkit import ConfigError, StandardizationMap, StopwordList, TokenizerConfig
 from evalkit.textprep import (
-    DEFAULT_RULES,
-    compile_rules,
+    default_rules,
     destandardize,
     filter_stopwords,
     load_rules,
@@ -202,7 +201,7 @@ class TestDestandardize:
 
     def test_round_trip_on_random_rule_matching_intents(self):
         rng = random.Random(11)
-        rules = compile_rules(list(DEFAULT_RULES))
+        rules = default_rules()
         words = ["move", "the", "value", "into", "register", "label", "stack"]
         for _ in range(1000):
             parts = []
@@ -241,7 +240,8 @@ class TestRulesFile:
             load_rules(path)
 
     def test_default_rules_compile(self):
-        assert compile_rules(list(DEFAULT_RULES))
+        assert [name for name, _ in default_rules()] == [
+            "quoted-string", "hex-literal", "decimal-literal", "register-name"]
 
 
 @settings(max_examples=200)
