@@ -37,6 +37,11 @@ _PY_BLOCK_HEADS = frozenset(
     ("if", "elif", "else", "for", "while", "def", "class", "try", "except", "finally", "with")
 )
 _BRACKETS = {")": "(", "]": "[", "}": "{"}
+# A string literal up to its closing quote, a backslash escaping any one
+# character; else a bracket, or a quote that no closing quote follows.
+_PY_SCAN = re.compile(r"""'(?:[^'\\]|\\[\s\S])*'|"(?:[^"\\]|\\[\s\S])*"|['"()\[\]{}]""")
+# the word characters a line starts with
+_PY_HEAD = re.compile(r"\w*")
 
 
 def _check_assembly_line(line: str) -> str | None:
@@ -65,34 +70,27 @@ def _check_assembly_line(line: str) -> str | None:
 def _check_python_like(snippet: str) -> str | None:
     """Bracket/quote balance plus colon endings on block-statement heads."""
     stack: list[str] = []
-    quote: str | None = None
-    escaped = False
-    for ch in snippet:
-        if quote is not None:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == quote:
-                quote = None
+    # finditer, not findall: scanning on past an unterminated quote could try
+    # every later quote to the end of the snippet
+    for match in _PY_SCAN.finditer(snippet):
+        token = match.group()
+        if len(token) > 1:  # a whole string literal
             continue
-        if ch in "'\"":
-            quote = ch
-        elif ch in "([{":
-            stack.append(ch)
-        elif ch in ")]}":
-            if not stack or stack[-1] != _BRACKETS[ch]:
-                return f"unbalanced {ch!r}"
+        if token in "'\"":
+            return "unterminated string"
+        if token in "([{":
+            stack.append(token)
+        elif not stack or stack[-1] != _BRACKETS[token]:
+            return f"unbalanced {token!r}"
+        else:
             stack.pop()
-    if quote is not None:
-        return "unterminated string"
     if stack:
         return f"unclosed {stack[-1]!r}"
     for line in snippet.split("\n"):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        head = re.split(r"[^\w]", stripped, 1)[0]
+        head = _PY_HEAD.match(stripped).group()
         if head in _PY_BLOCK_HEADS and not stripped.endswith(":"):
             return f"{head!r} statement missing ':'"
     return None

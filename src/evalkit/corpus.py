@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import random
+import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -245,8 +246,8 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpu
     return parts[0], parts[1], parts[2]
 
 
-def _format_score(value: float) -> str:
-    return f"{value:.6f}"
+# A field that csv writes as it is, whatever the Python version.
+_PLAIN_FIELD = re.compile(r'[^,"\r\n]+')
 
 
 def _check_homogeneous(rows: Sequence[tuple[str, Mapping[str, float]]]) -> list[str]:
@@ -269,11 +270,16 @@ def write_results(rows: Sequence[tuple[str, Mapping[str, float]]], path) -> None
     decimal digits so output is bit-stable and reloads exactly.
     """
     metrics = _check_homogeneous(rows)
+    line = "%s" + ",%.6f" * len(metrics) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", *metrics])
         for sample_id, vector in rows:
-            writer.writerow([sample_id, *(_format_score(vector[m]) for m in metrics)])
+            scores = [vector[m] for m in metrics]
+            if isinstance(sample_id, str) and _PLAIN_FIELD.fullmatch(sample_id):
+                fh.write(line % (sample_id, *scores))
+            else:  # csv quotes it
+                writer.writerow([sample_id, *["%.6f" % score for score in scores]])
 
 
 def load_results(path) -> list[tuple[str, dict[str, float]]]:

@@ -14,6 +14,7 @@ import numbers
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import _kernels
 from .checkers import SyntaxChecker, checker_for_language
@@ -26,12 +27,13 @@ NGRAM_ORDERS = (1, 2, 3, 4)
 _ROUGE_N_NAMES = tuple((f"ROUGE-{n}-P", f"ROUGE-{n}-R", f"ROUGE-{n}-F1") for n in NGRAM_ORDERS)
 _BLEU_NAMES = tuple(f"BLEU-{n}" for n in NGRAM_ORDERS)
 _NGRAM_METRICS = frozenset(_BLEU_NAMES).union(*_ROUGE_N_NAMES)
+_ROUGE_L_NAMES = ("ROUGE-L-P", "ROUGE-L-R", "ROUGE-L-F1")
 
 # Canonical metric order: the fixed row order of every report.
 CANONICAL_METRICS: tuple[str, ...] = (
     "CA",
     *(name for names in _ROUGE_N_NAMES for name in names),
-    *(f"ROUGE-L-{part}" for part in ("P", "R", "F1")),
+    *_ROUGE_L_NAMES,
     *_BLEU_NAMES,
     "EM",
     "METEOR",
@@ -54,16 +56,30 @@ def ngrams(seq: Sequence[str], n: int) -> Counter:
     """Multiset of the contiguous n-token windows of seq."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Counter(zip(*(seq[k:] for k in range(n))))
+    return _windows(seq, (n,))
 
 
-def _clipped(pred: Sequence[str], ref: Sequence[str], n: int) -> tuple[int, int, int]:
-    """(clipped matches, pred n-grams, ref n-grams) of order n, the counts
-    that ROUGE-n and BLEU-n are both derived from."""
-    pred_grams = ngrams(pred, n)
-    ref_grams = ngrams(ref, n)
-    match = sum(min(c, ref_grams.get(g, 0)) for g, c in pred_grams.items())
-    return match, max(len(pred) - n + 1, 0), max(len(ref) - n + 1, 0)
+def _windows(seq: Sequence[str], orders: Sequence[int]) -> Counter:
+    """One multiset of the windows of seq of every order in orders. Windows of
+    different orders are tuples of different lengths, so they never collide."""
+    if orders == NGRAM_ORDERS:  # spelled out: the per-pair case
+        s1, s2, s3 = seq[1:], seq[2:], seq[3:]
+        return Counter(chain(zip(seq), zip(seq, s1), zip(seq, s1, s2), zip(seq, s1, s2, s3)))
+    return Counter(chain.from_iterable(zip(*(seq[k:] for k in range(n))) for n in orders))
+
+
+def _clipped(
+    pred: Sequence[str], ref: Sequence[str], orders: Sequence[int]
+) -> list[tuple[int, int, int]]:
+    """(clipped matches, pred n-grams, ref n-grams) for each order n in
+    orders, the counts that ROUGE-n and BLEU-n are both derived from."""
+    ref_grams = _windows(ref, orders).get
+    matches = [0] * (max(orders) + 1)
+    for gram, count in _windows(pred, orders).items():
+        limit = ref_grams(gram)
+        if limit:
+            matches[len(gram)] += count if count < limit else limit
+    return [(matches[n], max(len(pred) - n + 1, 0), max(len(ref) - n + 1, 0)) for n in orders]
 
 
 def _f1(p: float, r: float) -> float:
@@ -82,7 +98,9 @@ def rouge_n(pred: Sequence[str], ref: Sequence[str], n: int) -> tuple[float, flo
     The multiset intersection of n-gram counts is divided by the prediction's
     n-gram count (precision) and the reference's (recall).
     """
-    return _prf(*_clipped(pred, ref, n))
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _prf(*_clipped(pred, ref, (n,))[0])
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -162,7 +180,7 @@ def bleu(
     if not 1 <= max_n <= 4:
         raise ValueError(f"max_n must be in 1..4, got {max_n}")
     _check_bleu_options(smoothing, epsilon)
-    counts = [_clipped(pred, ref, n) for n in range(1, max_n + 1)]
+    counts = _clipped(pred, ref, NGRAM_ORDERS[:max_n])
     return _bleu_scores(counts, len(pred), len(ref), smoothing, epsilon)[-1]
 
 
@@ -245,6 +263,7 @@ def _most_links(
     segments: list[str],
     ends: list[float],
     best: int,
+    searched: set[tuple[int, tuple[str, ...]]],
 ) -> int:
     """Most links over the sets of disjoint reference segments that extend the
     chosen `segments` with segments starting at ref position a or later, by
@@ -259,7 +278,10 @@ def _most_links(
     segment's first start at or after ends[mask without it], plus w. The
     search tries the segments at a longest first (longest[a] tokens is the
     longest that occurs in pred), then skips a. reach[a], the most links from
-    a on with overlaps in pred ignored, prunes it.
+    a on with overlaps in pred ignored, prunes it. The ends, the links and the
+    chunk bound of a set depend only on its multiset of segments, so a try
+    whose next position and segments, sorted, are in `searched` is skipped:
+    the incumbent already holds the best it can reach.
     """
     # a set of s segments leaves at least s chunks of the m matches
     most = matches - len(segments) - 1
@@ -270,6 +292,11 @@ def _most_links(
                 continue
             segment = ref[a : a + w]
             segments.append(segment)
+            key = (a + w, tuple(sorted(segments)))
+            if key in searched:
+                segments.pop()
+                continue
+            searched.add(key)
             for mask in range(size):
                 end = ends[mask]
                 if end != math.inf:
@@ -289,7 +316,7 @@ def _most_links(
             if ends[-1] != math.inf:
                 best = _most_links(
                     pred, ref, longest, reach, matches, a + w, links + w - 1, segments, ends,
-                    max(best, links + w - 1),
+                    max(best, links + w - 1), searched,
                 )
             del ends[size:]
             segments.pop()
@@ -305,9 +332,9 @@ def _align_path(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int, str]
         return m, chunks, "greedy-by-length"
     # Every partial alignment extends to one with m matches, so the fewest
     # chunks is m minus the most links. Links pair off equal bigrams of the two
-    # sides, so their count is at most the shared bigrams, and at most m - 1.
-    upper = sum((Counter(zip(ref, ref[1:])) & Counter(zip(pred, pred[1:]))).values())
-    if m - chunks >= min(m - 1, upper):
+    # sides, so their count is at most the shared bigrams, and at most m - 1;
+    # one chunk or none meets m - 1 without counting the bigrams.
+    if chunks <= 1 or m - chunks >= min(m - 1, _clipped(pred, ref, (2,))[0][0]):
         return m, chunks, "greedy-proven"
     # one character per reference token, and "\0" for any other token, so
     # that str.find locates segments
@@ -322,7 +349,7 @@ def _align_path(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int, str]
             w += 1
         longest[a] = w
         reach[a] = max([reach[a + 1]] + [v - 1 + reach[a + v] for v in range(2, w + 1)])
-    links = _most_links(pred_text, ref_text, longest, reach, m, 0, 0, [], [0], m - chunks)
+    links = _most_links(pred_text, ref_text, longest, reach, m, 0, 0, [], [0], m - chunks, set())
     return m, m - links, "exact"
 
 
@@ -397,6 +424,8 @@ class MetricConfig:
     # SyntaxChecker, or None; resolved per corpus language once, here
     checker: str | SyntaxChecker | None = "auto"
     _checkers: Mapping[str, SyntaxChecker | None] = field(init=False, repr=False, compare=False)
+    # the metrics, with "n-gram" and "ROUGE-L" standing for their groups
+    _wanted: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metrics", canonical_subset(self.metrics))
@@ -427,6 +456,12 @@ class MetricConfig:
             object.__setattr__(
                 self, "metrics", tuple(m for m in self.metrics if m != "CA")
             )
+        wanted = set(self.metrics)
+        if wanted & _NGRAM_METRICS:
+            wanted.add("n-gram")
+        if wanted.intersection(_ROUGE_L_NAMES):
+            wanted.add("ROUGE-L")
+        object.__setattr__(self, "_wanted", frozenset(wanted))
 
     def tokenizer_for(self, language: str) -> TokenizerConfig:
         try:
@@ -448,18 +483,17 @@ def evaluate_pair(
     tok_cfg = cfg.tokenizer_for(language)
     pred = tokenize(prediction, tok_cfg)
     ref = tokenize(reference, tok_cfg)
-    wanted = set(cfg.metrics)
+    wanted = cfg._wanted
 
     values: dict[str, float] = {}
-    if wanted & _NGRAM_METRICS:
-        counts = [_clipped(pred, ref, n) for n in NGRAM_ORDERS]
+    if "n-gram" in wanted:
+        counts = _clipped(pred, ref, NGRAM_ORDERS)
         for names, order_counts in zip(_ROUGE_N_NAMES, counts):
             values.update(zip(names, _prf(*order_counts)))
         scores = _bleu_scores(counts, len(pred), len(ref), cfg.bleu_smoothing, cfg.bleu_epsilon)
         values.update(zip(_BLEU_NAMES, scores))
-    names = ("ROUGE-L-P", "ROUGE-L-R", "ROUGE-L-F1")
-    if wanted & set(names):
-        values.update(zip(names, rouge_l(pred, ref)))
+    if "ROUGE-L" in wanted:
+        values.update(zip(_ROUGE_L_NAMES, rouge_l(pred, ref)))
     if "METEOR" in wanted:
         m_pred = tokenize(prediction, cfg.meteor_tokenizer)
         m_ref = tokenize(reference, cfg.meteor_tokenizer)

@@ -23,20 +23,30 @@ TOKENIZER_MODES = ("whitespace", "code-punct", "char")
 
 NEWLINE_TOKEN = "\n"
 
-_WS = re.compile(r"[ \t\f\v]+")
-# word runs | operator runs | any other single non-space character
-_CODE_CHUNK = re.compile(r"[A-Za-z0-9_]+|[+\-*/%=!<>&|^~]+|\S")
+# A "whitespace" token is a run of anything but space, tab, \f, \v and
+# newline; a "code-punct" token is a word run, an operator run or any other
+# single non-space character. Tokens never span a newline, so one scan of the
+# whole text finds them, each newline being a NEWLINE_TOKEN when so configured.
+_TOKEN = {
+    "whitespace": r"[^ \t\f\v\n]+",
+    "code-punct": r"[A-Za-z0-9_]+|[+\-*/%=!<>&|^~]+|\S",
+}
+_TOKEN_PATTERNS = {
+    (mode, newline_is_token): re.compile(r"\n|" * newline_is_token + pattern)
+    for mode, pattern in _TOKEN.items()
+    for newline_is_token in (False, True)
+}
 
 
 @dataclass(frozen=True)
 class TokenizerConfig:
     """How raw text is turned into tokens.
 
-    mode "whitespace" splits on runs of spaces/tabs; newlines either act as
-    whitespace or emit a NEWLINE_TOKEN per newline_is_token. mode "code-punct"
-    additionally splits commas, brackets and operator runs into standalone
-    tokens. mode "char" emits one token per character and ignores
-    newline_is_token.
+    mode "whitespace" splits on runs of spaces, tabs, form feeds and vertical
+    tabs, and on nothing else; newlines either act as whitespace or emit a
+    NEWLINE_TOKEN per newline_is_token. mode "code-punct" additionally splits
+    commas, brackets and operator runs into standalone tokens. mode "char"
+    emits one token per character and ignores newline_is_token.
     """
 
     mode: str = "whitespace"
@@ -58,21 +68,13 @@ CODE_TOKENIZER = TokenizerConfig(mode="whitespace", newline_is_token=True)
 
 def tokenize(text: str, cfg: TokenizerConfig) -> tuple[str, ...]:
     """Split text into non-empty tokens according to cfg. Empty text yields none."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if cfg.lowercase:
         text = text.lower()
     if cfg.mode == "char":
         return tuple(text)
-
-    out: list[str] = []
-    for k, segment in enumerate(text.split("\n")):
-        if k and cfg.newline_is_token:
-            out.append(NEWLINE_TOKEN)
-        if cfg.mode == "whitespace":
-            out.extend(t for t in _WS.split(segment) if t)
-        else:  # code-punct
-            out.extend(_CODE_CHUNK.findall(segment))
-    return tuple(out)
+    return tuple(_TOKEN_PATTERNS[cfg.mode, cfg.newline_is_token].findall(text))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ each other.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -283,3 +284,63 @@ def quantile_sorted(values, q: float) -> float:
         return ordered[below]
     weight = position - below
     return ordered[below] * (1 - weight) + ordered[above] * weight
+
+
+def tokenize_by_lines(text: str, mode: str, newline_is_token: bool, lowercase: bool) -> tuple:
+    """The tokenizer spelled line by line: CRLF and lone CR become newlines,
+    then each line is split on its own, with a newline token between lines
+    when so configured."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if lowercase:
+        text = text.lower()
+    if mode == "char":
+        return tuple(text)
+    out = []
+    for k, line in enumerate(text.split("\n")):
+        if k and newline_is_token:
+            out.append("\n")
+        if mode == "whitespace":
+            out.extend(t for t in re.split(r"[ \t\f\v]+", line) if t)
+        else:  # code-punct
+            out.extend(re.findall(r"[A-Za-z0-9_]+|[+\-*/%=!<>&|^~]+|\S", line))
+    return tuple(out)
+
+
+def check_python_like_scan(snippet: str) -> str | None:
+    """The python-like check walked one character at a time: a quote opens a
+    string that a backslash escape cannot close, brackets nest on a stack, and
+    a line starting with a block keyword must end with ':'."""
+    closing = {")": "(", "]": "[", "}": "{"}
+    stack = []
+    quote = None
+    escaped = False
+    for ch in snippet:
+        if quote is not None:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == quote:
+                quote = None
+            continue
+        if ch in "'\"":
+            quote = ch
+        elif ch in "([{":
+            stack.append(ch)
+        elif ch in ")]}":
+            if not stack or stack[-1] != closing[ch]:
+                return f"unbalanced {ch!r}"
+            stack.pop()
+    if quote is not None:
+        return "unterminated string"
+    if stack:
+        return f"unclosed {stack[-1]!r}"
+    heads = ("if", "elif", "else", "for", "while", "def", "class", "try", "except", "finally", "with")
+    for line in snippet.split("\n"):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        head = re.split(r"[^\w]", stripped, 1)[0]
+        if head in heads and not stripped.endswith(":"):
+            return f"{head!r} statement missing ':'"
+    return None

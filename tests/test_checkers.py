@@ -5,11 +5,15 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalkit import ASSEMBLY_CHECKER, PYTHON_LIKE_CHECKER, CheckerError, SyntaxChecker
 from evalkit.checkers import checker_for_language
 from evalkit.errors import ConfigError
 from evalkit.metrics import compilation_accuracy
+
+from oracles import check_python_like_scan
 
 
 def _running(pid: int) -> bool:
@@ -91,6 +95,31 @@ class TestPythonLike:
 
     def test_escaped_quote_inside_string(self):
         assert compilation_accuracy("x = 'it\\'s'", PYTHON_LIKE_CHECKER) == 1
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(
+        list("'\"\\()[]{}:#\n\t ab") + ["if ", "else", "for x in y", "def f", "x = ", "\\'"]
+    ), max_size=30).map("".join))
+    def test_scan_matches_the_character_loop(self, snippet):
+        result = PYTHON_LIKE_CHECKER.check(snippet)
+        problem = check_python_like_scan(snippet)
+        assert (result.accepted, result.diagnostic) == (problem is None, problem or "")
+
+    @pytest.mark.parametrize("snippet, diagnostic", [
+        ("x = 'a\\'", "unterminated string"),
+        ('x = ("a\\\\")', ""),
+        ('x = ("a\\")', "unterminated string"),
+        ('s = """\nfor x in y:\n"""', ""),
+        # line heads are checked inside multi-line strings too: the grammar is shallow
+        ('s = """\nfor x in y\n"""', "'for' statement missing ':'"),
+        ("x = ')' + (\"[\"", "unclosed '('"),
+        ("x = (1]", "unbalanced ']'"),
+        ("for(x) in y", "'for' statement missing ':'"),
+        ("  else", "'else' statement missing ':'"),
+    ])
+    def test_diagnostics(self, snippet, diagnostic):
+        assert PYTHON_LIKE_CHECKER.check(snippet).diagnostic == diagnostic
+        assert check_python_like_scan(snippet) == (diagnostic or None)
 
 
 class TestExternal:

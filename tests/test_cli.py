@@ -77,6 +77,59 @@ class TestEval:
         assert run("eval", "--corpus", corpus, "--out", out2) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
+    # sha256 of results.csv for the corpus below, the same for --jobs 1 and 2:
+    # the bytes written when each line was tokenized on its own and each
+    # n-gram order counted apart
+    RESULTS_SHA256 = "c0f365caef7a8f7f86ad7f2d177504a5b0da47c04e84c4636dfaaccafc8ff532"
+
+    @staticmethod
+    def _mixed_records(rng: random.Random) -> list[dict]:
+        """Assembly, python-like and other snippets with every line ending
+        (LF, CRLF, lone CR), every separator the tokenizers treat apart (space,
+        tab, \\f, \\v, NBSP), empty predictions, references of more than 16
+        METEOR tokens and python-like strings with escaped quotes."""
+        words = ["mov", "eax", "ebx,", "ecx", ",", "push", "pop", "xor", "0x80", "int",
+                 "[esp+4]", "dword", "ret", "x", "=", "(", ")", "+", "1"]
+        python = ["x = 'it\\'s'", 's = "a\\"b\\\\"', "if x:", "for i in r:", "print(x, 'a\\'(')",
+                  "y = [1, 2]", "def f(a):", "return a", "else", "z = {'k': \"v\"}", "w = 'open"]
+        seps = [" ", " ", "\t", "\f", "\v", "\xa0", "  "]
+        records = []
+        for i in range(150):
+            language = rng.choice(("assembly", "python-like", "other"))
+            if language == "python-like":
+                lines = [" " * rng.choice((0, 4)) + rng.choice(python)
+                         for _ in range(rng.randint(1, 7))]
+            else:
+                lines = [rng.choice(seps).join(rng.choice(words) for _ in range(rng.randint(1, 5)))
+                         for _ in range(rng.randint(1, 7))]
+            pred_lines = list(lines)
+            for _ in range(rng.randint(0, 3)):
+                k = rng.randrange(len(pred_lines))
+                if rng.random() < 0.5:
+                    pred_lines.insert(k, pred_lines[k])
+                else:
+                    pred_lines[k] = rng.choice(words) + rng.choice(seps) + pred_lines[k]
+            if rng.random() < 0.3:
+                rng.shuffle(pred_lines)
+            reference = rng.choice(("\n", "\r\n", "\r")).join(lines)
+            prediction = rng.choice(("\n", "\r\n", "\r")).join(pred_lines)
+            if i % 23 == 5:
+                prediction = ""
+            sample_id = f"s{i:03d}" if i % 50 else f"odd,id {i} \"q\""
+            records.append({"id": sample_id, "intent": "i", "reference": reference,
+                            "prediction": prediction, "sc": rng.choice((0, 1)),
+                            "language": language})
+        return records
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_bytes_pinned(self, tmp_path, jobs):
+        records = self._mixed_records(random.Random(10))
+        assert any(len(r["reference"].split()) > 16 for r in records)
+        corpus = write_corpus_file(tmp_path, records)
+        assert run("eval", "--corpus", corpus, "--out", tmp_path / "out", "--jobs", jobs) == 0
+        digest = hashlib.sha256((tmp_path / "out" / "results.csv").read_bytes()).hexdigest()
+        assert digest == self.RESULTS_SHA256
+
     def test_rows_sorted_by_id_even_with_jobs(self, tmp_path):
         records = [dict(GOOD[0], id=f"z{9 - i}") for i in range(3)]
         corpus = write_corpus_file(tmp_path, records)

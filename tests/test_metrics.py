@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import random
 import re
@@ -117,6 +118,15 @@ class TestRougeN:
 
     def test_both_too_short(self):
         assert rouge_n(["a"], ["b"], 4) == (0.0, 0.0, 0.0)
+
+    @given(pred=tokens, ref=tokens, n=st.integers(1, 6))
+    def test_matches_textbook_at_any_order(self, pred, ref, n):
+        assert rouge_n(pred, ref, n) == rouge_n_textbook(pred, ref, n)
+
+    def test_order_below_one_rejected(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                rouge_n(["a"], ["a"], n)
 
     def test_clipping_uses_multiset_intersection(self):
         p, r, _ = rouge_n(["a", "a", "a"], ["a"], 1)
@@ -330,21 +340,32 @@ class TestMeteor:
         ("aabbbaaabbaaabababbbaaba", "aaabbbbaababbabb", (16, 4)),
         ("abaababaaabbbabaabaaabab", "babababbababbbaa", (16, 5)),
         ("babaabbaabbaaababbbaabaa", "aaabbbbaabaaabaa", (16, 3)),
+        # runs of equal segments at different reference positions, which the
+        # search once tried again for each position
+        ("aaaababbabbbbaaa", "abababbabbababab", (14, 6)),
+        ("bbaaaaabbbabbbbabbababba", "aaabababaaaaaaaa", (13, 5)),
     ])
     def test_alignment_matches_memo_oracle_on_sixteen_token_pairs(self, pred, ref, expected):
         assert _align_path(list(pred), list(ref)) == (*expected, "exact")
+
+    # sha256 of repr() of the list of (m, chunks, path) of _pathological_pairs,
+    # as the search computed them before it skipped repeated segment multisets
+    PATHOLOGICAL_SHA256 = "7fef6b4e618e695f1f0fc7f4a508ef3f6408e13044a89d31d1c2572bfa8c5e8b"
 
     def test_pathological_pairs_are_aligned_exactly_and_no_worse_than_greedy(self):
         from collections import Counter
 
         pairs = _pathological_pairs()
         assert len(pairs) == 204
+        aligned = []
         for pred, ref in pairs:
             m, chunks, path = _align_path(pred, ref)
             greedy_m, greedy_chunks = _align_greedy(pred, ref)
             assert path == "exact"
             assert m == greedy_m == sum((Counter(pred) & Counter(ref)).values())
             assert 1 <= chunks <= greedy_chunks
+            aligned.append((m, chunks, path))
+        assert hashlib.sha256(repr(aligned).encode()).hexdigest() == self.PATHOLOGICAL_SHA256
 
     def test_greedy_fallback_still_maximizes_matches(self):
         # references longer than the exact-search bound take the greedy path

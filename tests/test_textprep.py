@@ -17,6 +17,9 @@ from evalkit.textprep import (
     standardize,
     tokenize,
 )
+from evalkit.textprep import TOKENIZER_MODES
+
+from oracles import tokenize_by_lines
 
 WS = TokenizerConfig(mode="whitespace")
 WS_NL = TokenizerConfig(mode="whitespace", newline_is_token=True)
@@ -91,6 +94,25 @@ class TestTokenize:
             once = list(tokenize(text, cfg))
             again = list(tokenize(" ".join(once), cfg))
             assert once == again
+
+    # CR, LF, the four separators of "whitespace" tokens, characters that
+    # str.split() or \s would also treat as space (NBSP, NEL, U+2028, U+3000,
+    # U+001C), word, operator and bracket characters, and case pairs whose
+    # lowercase differs in length
+    _MIXED = st.lists(st.sampled_from(
+        list("ab_Z09 \t\f\v\n\r,.:()[]+-*=<>!'\"#")
+        + ["\r\n", "\xa0", "\x85", " ", "　", "\x1c", "İ", "\xdf", "\xe9"]
+    ), max_size=60).map("".join) | st.text(alphabet=st.characters(codec="utf-8"), max_size=40)
+
+    @settings(max_examples=300)
+    @given(text=_MIXED)
+    def test_one_scan_matches_the_line_by_line_tokenizer(self, text):
+        for mode in TOKENIZER_MODES:
+            for newline_is_token in (False, True):
+                for lowercase in (False, True):
+                    cfg = TokenizerConfig(mode, newline_is_token, lowercase)
+                    expected = tokenize_by_lines(text, mode, newline_is_token, lowercase)
+                    assert tokenize(text, cfg) == expected, cfg
 
 
 class TestStopwords:
