@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -323,7 +324,10 @@ def _job_count(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first use; callers must not
+    change it."""
     parser = _Parser(prog="evalkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"evalkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -340,15 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checker", default=None,
                         help="syntax checker: none | auto | assembly | python | cmd:<template>")
     p_eval.add_argument("--jobs", type=_job_count, default=1,
-                        help="parallel sample evaluations (an integer >= 1)")
-    p_eval.set_defaults(func=cmd_eval)
+                        help="external-checker commands run at once (an integer >= 1)")
 
     p_an = sub.add_parser("analyze", help="offset, correlation and boxplot reports")
     add_corpus_args(p_an)
     p_an.add_argument("--results", required=True, help="result table written by eval")
     p_an.add_argument("--partition", choices=("all", "whole", "correct", "wrong"),
                       default="all", help="which offset partitions to report")
-    p_an.set_defaults(func=cmd_analyze)
 
     p_pre = sub.add_parser("preprocess", help="standardize intents (or invert with --destandardize)")
     add_corpus_args(p_pre)
@@ -360,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--destandardize", action="store_true",
                        help="invert a previous run using its sidecar")
     p_pre.add_argument("--sidecar", default=None, help="standardization sidecar path")
-    p_pre.set_defaults(func=cmd_preprocess)
 
     p_split = sub.add_parser("split", help="deterministic train/valid/test split")
     add_corpus_args(p_split)
@@ -368,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--valid", type=float, default=0.1)
     p_split.add_argument("--test", type=float, default=0.1)
     p_split.add_argument("--seed", type=int, default=0)
-    p_split.set_defaults(func=cmd_split)
     return parser
 
 
@@ -376,7 +376,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up on each call, not bound into the cached parser, so a
+        # cmd_* function replaced on this module (as a tracer does) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,12 +15,16 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from . import _kernels
 from .checkers import SyntaxChecker, checker_for_language
 from .corpus import LANGUAGES, Sample
 from .errors import ConfigError
 from .textprep import CODE_TOKENIZER, TokenizerConfig, tokenize
+
+if TYPE_CHECKING:  # imported where the pool is made, so import stays lean
+    from concurrent.futures import Future
 
 # The n-gram orders of ROUGE-n and BLEU-n.
 NGRAM_ORDERS = (1, 2, 3, 4)
@@ -480,6 +484,14 @@ def evaluate_pair(
     prediction: str, reference: str, language: str, cfg: MetricConfig
 ) -> MetricVector:
     """Compute the configured metric vector for one prediction/reference pair."""
+    return _score_pair(prediction, reference, language, cfg, None)
+
+
+def _score_pair(
+    prediction: str, reference: str, language: str, cfg: MetricConfig, ca: Future | None
+) -> MetricVector:
+    """evaluate_pair, taking CA from `ca`, a future of compilation_accuracy,
+    when one is given."""
     tok_cfg = cfg.tokenizer_for(language)
     pred = tokenize(prediction, tok_cfg)
     ref = tokenize(reference, tok_cfg)
@@ -503,10 +515,13 @@ def evaluate_pair(
     if "ED" in wanted:
         values["ED"] = edit_distance_norm(prediction, reference)
     if "CA" in wanted:
-        checker = cfg.checker_for(language)
-        if checker is None:
-            raise ConfigError("CA metric enabled but no checker configured")
-        values["CA"] = float(compilation_accuracy(prediction, checker))
+        if ca is None:
+            checker = cfg.checker_for(language)
+            if checker is None:
+                raise ConfigError("CA metric enabled but no checker configured")
+            values["CA"] = float(compilation_accuracy(prediction, checker))
+        else:
+            values["CA"] = float(ca.result())
     return {name: values[name] for name in cfg.metrics}
 
 
@@ -515,23 +530,56 @@ def evaluate_sample(sample: Sample, cfg: MetricConfig) -> MetricVector:
     return evaluate_pair(sample.prediction, sample.reference, sample.language, cfg)
 
 
+def _external_checker(sample: Sample, cfg: MetricConfig) -> SyntaxChecker | None:
+    """The sample's CA checker if it runs an external command, else None."""
+    checker = cfg.checker_for(sample.language)
+    return checker if checker is not None and checker.kind == "external-command" else None
+
+
 def evaluate_corpus(
     corpus, cfg: MetricConfig, jobs: int = 1
 ) -> list[tuple[str, MetricVector]]:
     """Evaluate every sample; rows come back sorted by sample id.
 
-    jobs > 1 evaluates samples in a thread pool, which also caps the number of
-    concurrent external checker processes.
+    Every metric is scored on the calling thread. jobs bounds how many
+    external-checker commands run at once: with jobs > 1, the CA checks of
+    the samples whose checker is an external command start up front in a pool
+    of jobs threads and run while this thread scores. Nothing else depends on
+    jobs, so the rows are the same for every value. A check or score that
+    raises cancels the checks not yet started.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
+    checkers = []
+    if jobs > 1 and "CA" in cfg._wanted:
+        checkers = [_external_checker(s, cfg) for s in corpus]
+    if not any(checkers):
         rows = [(s.id, evaluate_sample(s, cfg)) for s in corpus]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            vectors = list(pool.map(lambda s: evaluate_sample(s, cfg), corpus))
-        rows = [(s.id, v) for s, v in zip(corpus, vectors)]
+        pool = ThreadPoolExecutor(max_workers=jobs)
+
+        def stop_on_error(check: Future) -> None:
+            # only checks queued behind this one are still pending: the pool
+            # starts checks in sample order and this thread reads them in that
+            # order, so it meets this error before any cancelled check
+            if not check.cancelled() and check.exception() is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+
+        try:
+            checks = [
+                None if checker is None else pool.submit(compilation_accuracy, s.prediction, checker)
+                for s, checker in zip(corpus, checkers)
+            ]
+            for check in checks:
+                if check is not None:
+                    check.add_done_callback(stop_on_error)
+            rows = [
+                (s.id, _score_pair(s.prediction, s.reference, s.language, cfg, check))
+                for s, check in zip(corpus, checks)
+            ]
+        finally:
+            pool.shutdown(cancel_futures=True)
     rows.sort(key=lambda row: row[0])
     return rows

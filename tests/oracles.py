@@ -11,39 +11,22 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 
 def lev_recursive(a, b) -> int:
-    """Plain recursion on the edit-distance definition. Exponential."""
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    cost = a[-1] != b[-1]
-    return min(
-        lev_recursive(a[:-1], b) + 1,
-        lev_recursive(a, b[:-1]) + 1,
-        lev_recursive(a[:-1], b[:-1]) + cost,
-    )
+    """Recursion on the edit-distance definition over prefix lengths,
+    memoized, so it takes time proportional to len(a) * len(b)."""
 
-
-def lev_memo(a: str, b: str) -> int:
-    """Memoized top-down recursion; for fixture strings too long for the
-    plain-recursive oracle."""
-    memo: dict[tuple[int, int], int] = {}
-
+    @cache
     def d(i: int, j: int) -> int:
         if i == 0:
             return j
         if j == 0:
             return i
-        key = (i, j)
-        if key not in memo:
-            cost = a[i - 1] != b[j - 1]
-            memo[key] = min(d(i - 1, j) + 1, d(i, j - 1) + 1, d(i - 1, j - 1) + cost)
-        return memo[key]
+        cost = a[i - 1] != b[j - 1]
+        return min(d(i - 1, j) + 1, d(i, j - 1) + 1, d(i - 1, j - 1) + cost)
 
     return d(len(a), len(b))
 

@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from evalkit import metrics
+from evalkit import cli
+from evalkit.checkers import SyntaxChecker
 from evalkit.cli import main
 from evalkit.metrics import CANONICAL_METRICS
 
@@ -228,13 +229,13 @@ class TestEval:
                   f'rm {alive}/$$; grep -q eax "$1"')
         checker = f"cmd:sh -c '{script}' sh {{file}}"
         threads = set()
-        original = metrics.evaluate_sample
+        original = SyntaxChecker.check
 
-        def recording(sample, cfg):
+        def recording(self, snippet):
             threads.add(threading.get_ident())
-            return original(sample, cfg)
+            return original(self, snippet)
 
-        monkeypatch.setattr(metrics, "evaluate_sample", recording)
+        monkeypatch.setattr(SyntaxChecker, "check", recording)
         out1, out3 = tmp_path / "o1", tmp_path / "o3"
         assert run("eval", "--corpus", corpus, "--out", out1, "--checker", checker,
                    "--jobs", 1) == 0
@@ -488,3 +489,40 @@ class TestExitCodes:
         assert run(command, "--corpus", corpus, "--out", tmp_path / "o", *flags, config) == 1
         err = capsys.readouterr().err
         assert f"{config}:2:" in err and "UTF-8" in err
+
+
+class TestRepeatedMain:
+    """main builds its parser once per process; no call's options may reach the next."""
+
+    def test_jobs_from_one_call_does_not_reach_the_next(self, tmp_path):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        assert run("eval", "--corpus", corpus, "--out", tmp_path / "o3", "--jobs", 3) == 0
+        assert run("eval", "--corpus", corpus, "--out", tmp_path / "o") == 0
+        assert json.loads((tmp_path / "o3" / "run_config.json").read_text())["jobs"] == 3
+        assert json.loads((tmp_path / "o" / "run_config.json").read_text())["jobs"] == 1
+
+    def test_partition_from_one_call_does_not_reach_the_next(self, tmp_path):
+        records = [dict(GOOD[i % 3], id=f"s{i}") for i in range(6)]
+        corpus = write_corpus_file(tmp_path, records)
+        results = tmp_path / "e" / "results.csv"
+        assert run("eval", "--corpus", corpus, "--out", tmp_path / "e") == 0
+        assert run("analyze", "--corpus", corpus, "--results", results,
+                   "--out", tmp_path / "whole", "--partition", "whole") == 0
+        assert run("analyze", "--corpus", corpus, "--results", results,
+                   "--out", tmp_path / "all") == 0
+
+        def partitions(out):
+            header = (out / "offsets.csv").read_text().splitlines()[0].split(",")
+            return [name[: -len("_value")] for name in header if name.endswith("_value")]
+
+        assert partitions(tmp_path / "whole") == ["whole"]
+        assert partitions(tmp_path / "all") == ["whole", "correct", "wrong"]
+
+    def test_a_command_replaced_after_the_first_call_is_the_one_run(self, tmp_path, monkeypatch):
+        # a tracer wraps cmd_* on the module after main has already run once
+        corpus = write_corpus_file(tmp_path, GOOD)
+        assert run("eval", "--corpus", corpus, "--out", tmp_path / "o") == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.out) or 0)
+        assert run("eval", "--corpus", corpus, "--out", tmp_path / "p") == 0
+        assert seen == [str(tmp_path / "p")] and not (tmp_path / "p").exists()

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import hashlib
 import math
 import random
 import re
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -35,12 +37,12 @@ from evalkit.metrics import (
     _align_path,
     canonical_subset,
 )
-from evalkit.checkers import ASSEMBLY_CHECKER, PYTHON_LIKE_CHECKER
-from evalkit.corpus import LANGUAGES
-from evalkit.errors import ConfigError
+from evalkit.checkers import ASSEMBLY_CHECKER, PYTHON_LIKE_CHECKER, CheckResult, SyntaxChecker
+from evalkit.corpus import LANGUAGES, Corpus
+from evalkit.errors import CheckerError, ConfigError
 from evalkit.textprep import CODE_TOKENIZER
 
-from conftest import NL_MARKER
+from conftest import NL_MARKER, make_sample
 from oracles import (
     align_enumerate,
     align_greedy_scan,
@@ -599,7 +601,7 @@ class TestEvaluateCorpus:
         MetricConfig(checker="python"),
         MetricConfig(metrics=("EM", "ED"), checker="cmd:false {file}"),
     ], ids=["auto", "python", "external-checker-without-CA"])
-    def test_pool_gives_the_serial_rows(self, mini_corpus, monkeypatch, cfg):
+    def test_samples_score_on_the_calling_thread_for_every_jobs(self, mini_corpus, monkeypatch, cfg):
         threads = []
         original = metrics.evaluate_sample
 
@@ -607,12 +609,61 @@ class TestEvaluateCorpus:
             threads.append(threading.get_ident())
             return original(sample, cfg)
 
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made with no external check to run")
+
         monkeypatch.setattr(metrics, "evaluate_sample", recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         serial = evaluate_corpus(mini_corpus, cfg, jobs=1)
-        assert threads == [threading.get_ident()] * len(mini_corpus)
-        threads.clear()
         assert evaluate_corpus(mini_corpus, cfg, jobs=4) == serial
-        assert len(threads) == len(mini_corpus) and threading.get_ident() not in threads
+        assert threads == [threading.get_ident()] * (2 * len(mini_corpus))
+
+    @staticmethod
+    def _failing_checks(monkeypatch, fails, slow=()):
+        """Patch the external check to take 20 ms (300 ms for snippets in
+        slow) and to raise CheckerError when fails(snippet, call number) holds;
+        returns the list of checked snippets."""
+        calls = []
+        lock = threading.Lock()
+
+        def check(self, snippet):
+            with lock:
+                calls.append(snippet)
+                number = len(calls)
+            time.sleep(0.3 if snippet in slow else 0.02)
+            if fails(snippet, number):
+                raise CheckerError("checker failed to run")
+            return CheckResult(True)
+
+        monkeypatch.setattr(SyntaxChecker, "_check_external", check)
+        return calls
+
+    _external = MetricConfig(checker="cmd:true {file}")
+    _samples = Corpus(tuple(
+        make_sample(i, prediction=f"mov eax, {i}", language="assembly") for i in range(50)
+    ))
+
+    def test_a_failing_check_cancels_the_checks_not_yet_started(self, monkeypatch):
+        calls = self._failing_checks(monkeypatch, lambda snippet, number: number == 1)
+        with pytest.raises(CheckerError):
+            evaluate_corpus(self._samples, self._external, jobs=2)
+        assert len(calls) < 10
+
+    def test_a_check_failing_behind_a_slow_one_cancels_at_once(self, monkeypatch):
+        # this thread waits on sample 0's check while sample 1's fails: the
+        # checks queued behind sample 1 must not start in the meantime
+        calls = self._failing_checks(
+            monkeypatch, lambda snippet, number: snippet == "mov eax, 1", slow={"mov eax, 0"})
+        with pytest.raises(CheckerError):
+            evaluate_corpus(self._samples, self._external, jobs=2)
+        assert len(calls) < 10
+
+    def test_a_failing_score_cancels_the_checks_not_yet_started(self, monkeypatch):
+        calls = self._failing_checks(monkeypatch, lambda snippet, number: False)
+        cfg = MetricConfig(tokenizers={"other": CODE_TOKENIZER}, checker="cmd:true {file}")
+        with pytest.raises(ConfigError, match="no tokenizer configured"):
+            evaluate_corpus(self._samples, cfg, jobs=2)
+        assert len(calls) < 10
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, mini_corpus, jobs):
