@@ -12,22 +12,19 @@ import math
 import numbers
 import os
 import re
-import shlex
-import signal
-import subprocess
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import Record
 from .errors import CheckerError, ConfigError
 
 CHECKER_KINDS = ("builtin-assembly-subset", "builtin-python-like", "external-command")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    accepted: bool
-    diagnostic: str = ""
+class CheckResult(Record):
+    _fields = ("accepted", "diagnostic")
+
+    def __init__(self, accepted: bool, diagnostic: str = "") -> None:
+        self.__dict__.update(accepted=accepted, diagnostic=diagnostic)
 
 
 _LABEL = re.compile(r"[A-Za-z_.$][\w.$]*:")
@@ -96,33 +93,31 @@ def _check_python_like(snippet: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class SyntaxChecker:
+class SyntaxChecker(Record):
     """A named syntax check: builtin grammar or an external command template.
 
     External commands get the snippet path substituted for `{file}`, run under
     `timeout` seconds, and accept the snippet iff they exit 0.
     """
 
-    name: str
-    kind: str
-    command: str = ""
-    timeout: float = 10.0
-    suffix: str = ".txt"
+    _fields = ("name", "kind", "command", "timeout", "suffix")
 
-    def __post_init__(self) -> None:
-        if self.kind not in CHECKER_KINDS:
-            raise ConfigError(f"unknown checker kind {self.kind!r}")
-        if self.kind == "external-command":
-            if not self.command or "{file}" not in self.command:
+    def __init__(
+        self, name: str, kind: str, command: str = "", timeout: float = 10.0,
+        suffix: str = ".txt",
+    ) -> None:
+        if kind not in CHECKER_KINDS:
+            raise ConfigError(f"unknown checker kind {kind!r}")
+        if kind == "external-command":
+            if not command or "{file}" not in command:
                 raise ConfigError("external checker needs a command template with {file}")
-            timeout = self.timeout
             if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not (
                 0 < timeout < math.inf  # also rejects NaN
             ):
                 raise ConfigError(
                     f"external checker needs a finite timeout > 0 seconds, got {timeout!r}"
                 )
+        self.__dict__.update(name=name, kind=kind, command=command, timeout=timeout, suffix=suffix)
 
     def check(self, snippet: str) -> CheckResult:
         if self.kind == "builtin-assembly-subset":
@@ -137,6 +132,11 @@ class SyntaxChecker:
         return self._check_external(snippet)
 
     def _check_external(self, snippet: str) -> CheckResult:
+        # imported here, so that a run with a builtin checker never loads them
+        import shlex
+        import subprocess
+        import tempfile
+
         with tempfile.NamedTemporaryFile(
             "w", suffix=self.suffix, delete=False, encoding="utf-8"
         ) as fh:
@@ -173,6 +173,8 @@ class SyntaxChecker:
 
 def _kill_group(proc: subprocess.Popen) -> None:
     """Kill every process left in `proc`'s session group, then reap `proc`."""
+    import signal
+
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:

@@ -15,6 +15,11 @@ import os
 import sys
 from pathlib import Path
 
+# argparse imports these when the parser is built (locale for its gettext
+# lookup, shutil for the help width), so the first command would load them
+import locale  # noqa: F401
+import shutil  # noqa: F401
+
 from . import __version__
 from .checkers import SyntaxChecker
 from .corpus import (
@@ -36,7 +41,6 @@ from .metrics import (
     MetricConfig,
     evaluate_corpus,
 )
-from .report import build_report, render_boxplot_data, render_correlation_table, render_offset_table, render_sc_marker
 from .textprep import (
     StandardizationMap,
     StopwordList,
@@ -199,6 +203,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .report import (
+        build_report,
+        render_boxplot_data,
+        render_correlation_table,
+        render_offset_table,
+        render_sc_marker,
+    )
+
     corpus = load_corpus(args.corpus, _corpus_format(args.corpus, args.format))
     report = build_report(corpus, dict(load_results(args.results)))
     wanted = tuple(report.offset_rows) if args.partition == "all" else (args.partition,)

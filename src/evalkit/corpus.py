@@ -12,13 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
+from ._record import Record
 from .errors import DataError
 
 LANGUAGES = ("assembly", "python-like", "other")
@@ -26,47 +25,54 @@ LANGUAGES = ("assembly", "python-like", "other")
 CORPUS_FIELDS = ("id", "intent", "reference", "prediction", "sc", "language")
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(Record):
     """One evaluation record: an intent, its reference snippet and a model
     prediction, with an optional human semantic-correctness label."""
 
-    id: str
-    intent: str
-    reference: str
-    prediction: str
-    sc: int | None = None
-    language: str = "other"
+    _fields = ("id", "intent", "reference", "prediction", "sc", "language")
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self, id: str, intent: str, reference: str, prediction: str,
+        sc: int | None = None, language: str = "other",
+    ) -> None:
+        if not id:
             raise DataError("sample id must be nonempty")
-        if self.sc is not None and self.sc not in (0, 1):
-            raise DataError(f"sample {self.id!r}: invalid sc {self.sc!r} (must be 0 or 1)")
-        if self.language not in LANGUAGES:
+        if sc is not None and sc not in (0, 1):
+            raise DataError(f"sample {id!r}: invalid sc {sc!r} (must be 0 or 1)")
+        if language not in LANGUAGES:
             raise DataError(
-                f"sample {self.id!r}: unknown language {self.language!r} "
+                f"sample {id!r}: unknown language {language!r} "
                 f"(expected one of {', '.join(LANGUAGES)})"
             )
+        self.__dict__.update(
+            id=id, intent=intent, reference=reference, prediction=prediction, sc=sc,
+            language=language,
+        )
 
     @property
     def labeled(self) -> bool:
         return self.sc is not None
 
 
-@dataclass(frozen=True)
-class Corpus:
+_NO_PROVENANCE: Mapping[str, str] = MappingProxyType({})
+
+
+class Corpus(Record):
     """Immutable ordered collection of samples with unique ids."""
 
-    samples: tuple[Sample, ...]
-    provenance: Mapping[str, str] = field(default_factory=dict)
+    _fields = ("samples", "provenance")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, samples: tuple[Sample, ...], provenance: Mapping[str, str] = _NO_PROVENANCE
+    ) -> None:
         seen: set[str] = set()
-        for s in self.samples:
+        for s in samples:
             if s.id in seen:
                 raise DataError(f"duplicate sample id {s.id!r}")
             seen.add(s.id)
+        if provenance is _NO_PROVENANCE:  # a dict of its own
+            provenance = {}
+        self.__dict__.update(samples=samples, provenance=provenance)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -184,29 +190,28 @@ def write_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
 
 
 def _as_fraction(value) -> Fraction:
+    from fractions import Fraction  # split alone needs it, and it loads decimal
+
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/valid/test fractions (must sum to exactly 1) plus a shuffle seed."""
+class SplitSpec(Record):
+    """Train/valid/test fractions (must sum to exactly 1) plus a shuffle seed;
+    each fraction is stored as a Fraction, a float by its shortest repr."""
 
-    train_frac: Fraction
-    valid_frac: Fraction
-    test_frac: Fraction
-    seed: int = 0
+    _fields = ("train_frac", "valid_frac", "test_frac", "seed")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "train_frac", _as_fraction(self.train_frac))
-        object.__setattr__(self, "valid_frac", _as_fraction(self.valid_frac))
-        object.__setattr__(self, "test_frac", _as_fraction(self.test_frac))
-        fracs = (self.train_frac, self.valid_frac, self.test_frac)
+    def __init__(self, train_frac, valid_frac, test_frac, seed: int = 0) -> None:
+        fracs = (_as_fraction(train_frac), _as_fraction(valid_frac), _as_fraction(test_frac))
         if any(f < 0 for f in fracs):
             raise DataError("split fractions must be nonnegative")
         if sum(fracs) != 1:
             raise DataError(f"split fractions sum to {sum(fracs)}, expected exactly 1")
+        self.__dict__.update(
+            train_frac=fracs[0], valid_frac=fracs[1], test_frac=fracs[2], seed=seed
+        )
 
 
 def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
@@ -228,6 +233,8 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpu
     ):
         if frac > 0 and size == 0:
             raise DataError(f"corpus too small: {name} fraction {frac} yields no samples")
+    import random
+
     indices = list(range(n))
     random.Random(spec.seed).shuffle(indices)
     buckets = (

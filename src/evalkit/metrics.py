@@ -13,18 +13,15 @@ import math
 import numbers
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
+from types import MappingProxyType
 
 from . import _kernels
+from ._record import Record
 from .checkers import SyntaxChecker, checker_for_language
 from .corpus import LANGUAGES, Sample
 from .errors import ConfigError
 from .textprep import CODE_TOKENIZER, TokenizerConfig, tokenize
-
-if TYPE_CHECKING:  # imported where the pool is made, so import stays lean
-    from concurrent.futures import Future
 
 # The n-gram orders of ROUGE-n and BLEU-n.
 NGRAM_ORDERS = (1, 2, 3, 4)
@@ -188,25 +185,22 @@ def bleu(
     return _bleu_scores(counts, len(pred), len(ref), smoothing, epsilon)[-1]
 
 
-@dataclass(frozen=True)
-class MeteorParams:
+class MeteorParams(Record):
     """Harmonic-mean weight, fragmentation exponent and penalty weight."""
 
-    alpha: float = 0.9
-    beta: float = 3.0
-    gamma: float = 0.5
+    _fields = ("alpha", "beta", "gamma")
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
+    def __init__(self, alpha: float = 0.9, beta: float = 3.0, gamma: float = 0.5) -> None:
+        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"meteor {name} must be a number, got {value!r}")
-        if not 0 < self.alpha < 1:
-            raise ConfigError(f"meteor alpha must be in (0,1), got {self.alpha}")
-        if not self.beta > 0:  # also rejects NaN
-            raise ConfigError(f"meteor beta must be > 0, got {self.beta}")
-        if not 0 <= self.gamma < 1:
-            raise ConfigError(f"meteor gamma must be in [0,1), got {self.gamma}")
+        if not 0 < alpha < 1:
+            raise ConfigError(f"meteor alpha must be in (0,1), got {alpha}")
+        if not beta > 0:  # also rejects NaN
+            raise ConfigError(f"meteor beta must be > 0, got {beta}")
+        if not 0 <= gamma < 1:
+            raise ConfigError(f"meteor gamma must be in [0,1), got {gamma}")
+        self.__dict__.update(alpha=alpha, beta=beta, gamma=gamma)
 
 
 # Minimum-chunk alignment contains Minimum Common String Partition, which is
@@ -406,37 +400,44 @@ def compilation_accuracy(pred: str, checker: SyntaxChecker) -> int:
     return int(checker.check(pred).accepted)
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    """Everything evaluate_sample needs to be deterministic and auditable."""
+_DEFAULT_TOKENIZERS = MappingProxyType(dict.fromkeys(LANGUAGES, CODE_TOKENIZER))
 
-    tokenizers: Mapping[str, TokenizerConfig] = field(
-        default_factory=lambda: {
-            "assembly": CODE_TOKENIZER,
-            "python-like": CODE_TOKENIZER,
-            "other": CODE_TOKENIZER,
-        }
+
+class MetricConfig(Record):
+    """Everything evaluate_sample needs to be deterministic and auditable.
+
+    tokenizers defaults to a new dict giving every corpus language
+    CODE_TOKENIZER. METEOR's tokenizer mirrors the usual tooling for that
+    metric, which splits punctuation into its own tokens. checker is a
+    selector (none | auto | assembly | python | cmd:<template>), a
+    SyntaxChecker, or None; it is resolved per corpus language once, here,
+    into `_checkers`. `_wanted` holds the metrics, with "n-gram" and
+    "ROUGE-L" standing for their groups. Neither of the two is compared or
+    shown in the repr.
+    """
+
+    _fields = (
+        "tokenizers", "meteor_tokenizer", "bleu_smoothing", "bleu_epsilon", "meteor_params",
+        "metrics", "checker",
     )
-    # METEOR mirrors the usual tooling for that metric, which splits
-    # punctuation into its own tokens.
-    meteor_tokenizer: TokenizerConfig = TokenizerConfig(mode="code-punct", newline_is_token=True)
-    bleu_smoothing: str = "none"
-    bleu_epsilon: float = DEFAULT_BLEU_EPSILON
-    meteor_params: MeteorParams = MeteorParams()
-    metrics: tuple[str, ...] = CANONICAL_METRICS
-    # a selector (none | auto | assembly | python | cmd:<template>), a
-    # SyntaxChecker, or None; resolved per corpus language once, here
-    checker: str | SyntaxChecker | None = "auto"
-    _checkers: Mapping[str, SyntaxChecker | None] = field(init=False, repr=False, compare=False)
-    # the metrics, with "n-gram" and "ROUGE-L" standing for their groups
-    _wanted: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "metrics", canonical_subset(self.metrics))
-        _check_bleu_options(self.bleu_smoothing, self.bleu_epsilon)
-        if not isinstance(self.tokenizers, Mapping):
-            raise ConfigError(f"tokenizers must map languages to TokenizerConfigs, got {self.tokenizers!r}")
-        for language, tok in self.tokenizers.items():
+    def __init__(
+        self,
+        tokenizers: Mapping[str, TokenizerConfig] = _DEFAULT_TOKENIZERS,
+        meteor_tokenizer: TokenizerConfig = TokenizerConfig(mode="code-punct", newline_is_token=True),
+        bleu_smoothing: str = "none",
+        bleu_epsilon: float = DEFAULT_BLEU_EPSILON,
+        meteor_params: MeteorParams = MeteorParams(),
+        metrics: tuple[str, ...] = CANONICAL_METRICS,
+        checker: str | SyntaxChecker | None = "auto",
+    ) -> None:
+        if tokenizers is _DEFAULT_TOKENIZERS:  # a dict of its own, as before
+            tokenizers = dict(tokenizers)
+        metrics = canonical_subset(metrics)
+        _check_bleu_options(bleu_smoothing, bleu_epsilon)
+        if not isinstance(tokenizers, Mapping):
+            raise ConfigError(f"tokenizers must map languages to TokenizerConfigs, got {tokenizers!r}")
+        for language, tok in tokenizers.items():
             if language not in LANGUAGES:
                 raise ConfigError(
                     f"tokenizers.{language}: not a corpus language "
@@ -444,28 +445,30 @@ class MetricConfig:
                 )
             if not isinstance(tok, TokenizerConfig):
                 raise ConfigError(f"tokenizers.{language} must be a TokenizerConfig, got {tok!r}")
-        if self.checker == "none":
-            object.__setattr__(self, "checker", None)
-        if isinstance(self.checker, str):
-            checkers = {lang: checker_for_language(self.checker, lang) for lang in LANGUAGES}
-        elif self.checker is None or isinstance(self.checker, SyntaxChecker):
-            checkers = dict.fromkeys(LANGUAGES, self.checker)
+        if checker == "none":
+            checker = None
+        if isinstance(checker, str):
+            checkers = {lang: checker_for_language(checker, lang) for lang in LANGUAGES}
+        elif checker is None or isinstance(checker, SyntaxChecker):
+            checkers = dict.fromkeys(LANGUAGES, checker)
         else:
             raise ConfigError(
                 "checker must be none, auto, assembly, python, cmd:<template>, "
-                f"a SyntaxChecker or None, got {self.checker!r}"
+                f"a SyntaxChecker or None, got {checker!r}"
             )
-        object.__setattr__(self, "_checkers", checkers)
-        if "CA" in self.metrics and self.checker is None:
-            object.__setattr__(
-                self, "metrics", tuple(m for m in self.metrics if m != "CA")
-            )
-        wanted = set(self.metrics)
+        if "CA" in metrics and checker is None:
+            metrics = tuple(m for m in metrics if m != "CA")
+        wanted = set(metrics)
         if wanted & _NGRAM_METRICS:
             wanted.add("n-gram")
         if wanted.intersection(_ROUGE_L_NAMES):
             wanted.add("ROUGE-L")
-        object.__setattr__(self, "_wanted", frozenset(wanted))
+        self.__dict__.update(
+            tokenizers=tokenizers, meteor_tokenizer=meteor_tokenizer,
+            bleu_smoothing=bleu_smoothing, bleu_epsilon=bleu_epsilon,
+            meteor_params=meteor_params, metrics=metrics, checker=checker,
+            _checkers=checkers, _wanted=frozenset(wanted),
+        )
 
     def tokenizer_for(self, language: str) -> TokenizerConfig:
         try:
@@ -488,7 +491,8 @@ def evaluate_pair(
 
 
 def _score_pair(
-    prediction: str, reference: str, language: str, cfg: MetricConfig, ca: Future | None
+    prediction: str, reference: str, language: str, cfg: MetricConfig,
+    ca: concurrent.futures.Future | None,
 ) -> MetricVector:
     """evaluate_pair, taking CA from `ca`, a future of compilation_accuracy,
     when one is given."""
@@ -560,7 +564,7 @@ def evaluate_corpus(
 
         pool = ThreadPoolExecutor(max_workers=jobs)
 
-        def stop_on_error(check: Future) -> None:
+        def stop_on_error(check: concurrent.futures.Future) -> None:
             # only checks queued behind this one are still pending: the pool
             # starts checks in sample order and this thread reads them in that
             # order, so it meets this error before any cancelled check

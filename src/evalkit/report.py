@@ -9,8 +9,8 @@ documents.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
+from ._record import Record
 from .corpus import Corpus
 from .errors import DataError
 from .stats import (
@@ -192,15 +192,23 @@ def render_sc_marker(value: float, fmt: str = "csv") -> str:
     return _render_rows(["sc_mean"], [[_fmt(value)]], fmt)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """Everything the analysis stage derives from a corpus and its scores."""
 
-    metadata: Mapping[str, str]
-    offset_rows: Mapping[str, Sequence[OffsetRow] | None]
-    correlation_rows: Sequence[CorrelationRow]
-    per_metric_means: Mapping[str, float]
-    sc_marker: float
+    _fields = ("metadata", "offset_rows", "correlation_rows", "per_metric_means", "sc_marker")
+
+    def __init__(
+        self,
+        metadata: Mapping[str, str],
+        offset_rows: Mapping[str, Sequence[OffsetRow] | None],
+        correlation_rows: Sequence[CorrelationRow],
+        per_metric_means: Mapping[str, float],
+        sc_marker: float,
+    ) -> None:
+        self.__dict__.update(
+            metadata=metadata, offset_rows=offset_rows, correlation_rows=correlation_rows,
+            per_metric_means=per_metric_means, sc_marker=sc_marker,
+        )
 
 
 def build_report(corpus: Corpus, scores: Mapping[str, Mapping[str, float]]) -> AnalysisReport:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
+from ._record import Record
 from .corpus import Corpus
 from .errors import DataError
 from .metrics import CANONICAL_METRICS
@@ -22,41 +22,42 @@ from .metrics import CANONICAL_METRICS
 PARTITION_KINDS = ("whole", "correct", "wrong")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """A named subset of labeled sample ids."""
 
-    kind: str
-    ids: tuple[str, ...]
+    _fields = ("kind", "ids")
+
+    def __init__(self, kind: str, ids: tuple[str, ...]) -> None:
+        self.__dict__.update(kind=kind, ids=ids)
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class OffsetRow:
-    metric: str
-    mean_value: float
-    offset: float
+class OffsetRow(Record):
+    _fields = ("metric", "mean_value", "offset")
+
+    def __init__(self, metric: str, mean_value: float, offset: float) -> None:
+        self.__dict__.update(metric=metric, mean_value=mean_value, offset=offset)
 
 
-@dataclass(frozen=True)
-class CorrelationRow:
-    metric: str
-    pearson_r: float | None
-    kendall_tau: float | None
-    n: int
+class CorrelationRow(Record):
+    _fields = ("metric", "pearson_r", "kendall_tau", "n")
+
+    def __init__(
+        self, metric: str, pearson_r: float | None, kendall_tau: float | None, n: int
+    ) -> None:
+        self.__dict__.update(metric=metric, pearson_r=pearson_r, kendall_tau=kendall_tau, n=n)
 
 
-@dataclass(frozen=True)
-class DescriptiveStats:
-    min: float
-    q1: float
-    median: float
-    q3: float
-    max: float
-    mean: float
-    std: float
+class DescriptiveStats(Record):
+    _fields = ("min", "q1", "median", "q3", "max", "mean", "std")
+
+    def __init__(
+        self, min: float, q1: float, median: float, q3: float, max: float, mean: float,
+        std: float,
+    ) -> None:
+        self.__dict__.update(min=min, q1=q1, median=median, q3=q3, max=max, mean=mean, std=std)
 
 
 def partition_by_sc(corpus: Corpus) -> tuple[Partition, Partition, Partition]:

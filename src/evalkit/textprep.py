@@ -9,15 +9,12 @@ inverted by destandardization on model output.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .corpus import open_utf8
 from .errors import ConfigError, DataError
-
-logger = logging.getLogger(__name__)
 
 TOKENIZER_MODES = ("whitespace", "code-punct", "char")
 
@@ -38,8 +35,7 @@ _TOKEN_PATTERNS = {
 }
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
+class TokenizerConfig(Record):
     """How raw text is turned into tokens.
 
     mode "whitespace" splits on runs of spaces, tabs, form feeds and vertical
@@ -49,17 +45,17 @@ class TokenizerConfig:
     emits one token per character and ignores newline_is_token.
     """
 
-    mode: str = "whitespace"
-    newline_is_token: bool = False
-    lowercase: bool = False
+    _fields = ("mode", "newline_is_token", "lowercase")
 
-    def __post_init__(self) -> None:
-        if self.mode not in TOKENIZER_MODES:
-            raise ConfigError(f"unknown tokenizer mode {self.mode!r}")
-        for name in ("newline_is_token", "lowercase"):
-            value = getattr(self, name)
+    def __init__(
+        self, mode: str = "whitespace", newline_is_token: bool = False, lowercase: bool = False
+    ) -> None:
+        if mode not in TOKENIZER_MODES:
+            raise ConfigError(f"unknown tokenizer mode {mode!r}")
+        for name, value in (("newline_is_token", newline_is_token), ("lowercase", lowercase)):
             if not isinstance(value, bool):
                 raise ConfigError(f"tokenizer {name} must be true or false, got {value!r}")
+        self.__dict__.update(mode=mode, newline_is_token=newline_is_token, lowercase=lowercase)
 
 
 # Default for code snippets: keep case and newline structure.
@@ -77,15 +73,15 @@ def tokenize(text: str, cfg: TokenizerConfig) -> tuple[str, ...]:
     return tuple(_TOKEN_PATTERNS[cfg.mode, cfg.newline_is_token].findall(text))
 
 
-@dataclass(frozen=True)
-class StopwordList:
+class StopwordList(Record):
     """Set of lowercase words to drop from intents."""
 
-    words: frozenset[str]
+    _fields = ("words",)
 
-    def __post_init__(self) -> None:
-        if not self.words:
+    def __init__(self, words: frozenset[str]) -> None:
+        if not words:
             raise ConfigError("stopword list is empty")
+        self.__dict__.update(words=words)
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "StopwordList":
@@ -121,25 +117,25 @@ def filter_stopwords(seq: Iterable[str], stop: StopwordList) -> tuple[str, ...]:
 _PLACEHOLDER = re.compile(r"\bvar(\d+)\b")
 
 
-@dataclass(frozen=True)
-class StandardizationMap:
+class StandardizationMap(Record):
     """Ordered placeholder -> literal pairs for one intent.
 
     Placeholders are dense ("var0", "var1", ...) and the mapping is injective:
     repeated occurrences of the same literal share one placeholder.
     """
 
-    entries: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        for i, (ph, lit) in enumerate(self.entries):
+    def __init__(self, entries: tuple[tuple[str, str], ...] = ()) -> None:
+        for i, (ph, lit) in enumerate(entries):
             if ph != f"var{i}":
                 raise ValueError(f"placeholder {ph!r} breaks dense var0.. numbering")
             if not lit:
                 raise ValueError(f"placeholder {ph!r} maps to an empty literal")
-        literals = [lit for _, lit in self.entries]
+        literals = [lit for _, lit in entries]
         if len(set(literals)) != len(literals):
             raise ValueError("placeholder map is not injective")
+        self.__dict__.update(entries=entries)
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.entries)
@@ -259,5 +255,7 @@ def destandardize(snippet: str, smap: StandardizationMap) -> str:
 
     result = _PLACEHOLDER.sub(sub, snippet)
     if unknown:
-        logger.warning("destandardize: no mapping for %s", ", ".join(sorted(set(unknown))))
+        import logging  # the one use; most runs never load it
+
+        logging.getLogger(__name__).warning("destandardize: no mapping for %s", ", ".join(sorted(set(unknown))))
     return result
