@@ -212,7 +212,10 @@ def cmd_analyze(args) -> int:
     )
 
     corpus = load_corpus(args.corpus, _corpus_format(args.corpus, args.format))
-    report = build_report(corpus, dict(load_results(args.results)))
+    results = load_results(args.results)
+    if results and not set(CANONICAL_METRICS).intersection(results[0][1]):
+        raise DataError(f"{args.results}: no metric column (expected any of {', '.join(CANONICAL_METRICS)})")
+    report = build_report(corpus, dict(results))
     wanted = tuple(report.offset_rows) if args.partition == "all" else (args.partition,)
     offset_rows = {k: report.offset_rows[k] for k in wanted}
     out = Path(args.out)
@@ -220,8 +223,8 @@ def cmd_analyze(args) -> int:
     for fmt in ("txt", "csv", "md"):
         _write_text(out / f"offsets.{fmt}", render_offset_table(offset_rows, fmt))
         _write_text(out / f"correlation.{fmt}", render_correlation_table(report.correlation_rows, fmt))
-    _write_text(out / "boxplot.csv", render_boxplot_data(report.per_metric_means, "csv"))
-    _write_text(out / "sc_marker.csv", render_sc_marker(report.sc_marker, "csv"))
+    _write_text(out / "boxplot.csv", render_boxplot_data(report.per_metric_means))
+    _write_text(out / "sc_marker.csv", render_sc_marker(report.sc_marker))
     _write_text(
         out / "analysis_meta.json",
         json.dumps(dict(report.metadata), indent=2, sort_keys=True) + "\n",
@@ -285,7 +288,7 @@ def cmd_preprocess(args) -> int:
                     language=s.language,
                 )
             )
-        write_corpus(Corpus(tuple(restored), corpus.provenance), out / "corpus.jsonl", "jsonl")
+        write_corpus(Corpus(tuple(restored), corpus.provenance), out / "corpus.jsonl")
         print(f"destandardized {len(restored)} samples -> {out / 'corpus.jsonl'}")
         return EXIT_OK
 
@@ -312,7 +315,7 @@ def cmd_preprocess(args) -> int:
                     language=s.language,
                 )
             )
-    write_corpus(Corpus(tuple(processed), corpus.provenance), out / "corpus.jsonl", "jsonl")
+    write_corpus(Corpus(tuple(processed), corpus.provenance), out / "corpus.jsonl")
     print(f"standardized {len(processed)} samples -> {out / 'corpus.jsonl'} (+ sidecar)")
     return EXIT_OK
 
@@ -324,7 +327,7 @@ def cmd_split(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, part in (("train", train), ("valid", valid), ("test", test)):
-        write_corpus(part, out / f"{name}.jsonl", "jsonl")
+        write_corpus(part, out / f"{name}.jsonl")
     print(f"split {len(corpus)} -> {len(train)}/{len(valid)}/{len(test)} in {out}")
     return EXIT_OK
 
@@ -396,6 +399,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # a directory for a file, a file for --out, ...
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Evaluation data model plus corpus and result-table I/O.
 
-JSONL is the canonical corpus format (snippets contain commas and newlines that
-CSV handles poorly); CSV is accepted for spreadsheet-born labels. Result tables
-are CSV, written with a fixed column order and fixed 6-decimal float formatting
-so reruns are byte-identical and reloading reproduces the written values
-exactly.
+JSONL is the canonical corpus format and the only one written (snippets contain
+commas and newlines that CSV handles poorly); CSV is read for spreadsheet-born
+labels. Result tables are CSV, written with a fixed column order and fixed
+6-decimal float formatting so reruns are byte-identical and reloading
+reproduces the written values exactly.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from ._record import Record
 from .errors import DataError
 
 LANGUAGES = ("assembly", "python-like", "other")
-
-CORPUS_FIELDS = ("id", "intent", "reference", "prediction", "sc", "language")
 
 
 class Sample(Record):
@@ -79,10 +77,6 @@ class Corpus(Record):
 
     def __iter__(self):
         return iter(self.samples)
-
-    @property
-    def labeled_samples(self) -> tuple[Sample, ...]:
-        return tuple(s for s in self.samples if s.labeled)
 
 
 def _sample_from_record(record: Mapping, where: str) -> Sample:
@@ -160,33 +154,20 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     return Corpus(tuple(samples), provenance={"source": str(path), "format": format})
 
 
-def write_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
-    """Write a corpus back to disk in jsonl or csv format."""
-    path = Path(path)
-    if format == "jsonl":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for s in corpus:
-                record = {
-                    "id": s.id,
-                    "intent": s.intent,
-                    "reference": s.reference,
-                    "prediction": s.prediction,
-                }
-                if s.sc is not None:
-                    record["sc"] = s.sc
-                record["language"] = s.language
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CORPUS_FIELDS)
-            for s in corpus:
-                writer.writerow(
-                    [s.id, s.intent, s.reference, s.prediction,
-                     "" if s.sc is None else s.sc, s.language]
-                )
-    else:
-        raise DataError(f"unknown corpus format {format!r} (expected jsonl or csv)")
+def write_corpus(corpus: Corpus, path) -> None:
+    """Write a corpus as jsonl, one record per sample."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for s in corpus:
+            record = {
+                "id": s.id,
+                "intent": s.intent,
+                "reference": s.reference,
+                "prediction": s.prediction,
+            }
+            if s.sc is not None:
+                record["sc"] = s.sc
+            record["language"] = s.language
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def _as_fraction(value) -> Fraction:
@@ -303,6 +284,9 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
             raise DataError(f"{path}: empty results file") from None
         if not header or header[0] != "id":
             raise DataError(f"{path}: malformed results header")
+        for k, column in enumerate(header):
+            if column in header[:k]:
+                raise DataError(f"{path}: column {column!r} appears twice in the header")
         metrics = header[1:]
         for lineno, row in enumerate(reader, 2):
             if len(row) != len(header):

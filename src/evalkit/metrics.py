@@ -16,7 +16,7 @@ from collections.abc import Mapping, Sequence
 from itertools import chain
 from types import MappingProxyType
 
-from . import _kernels
+from ._kernels import lcs_length, levenshtein
 from ._record import Record
 from .checkers import SyntaxChecker, checker_for_language
 from .corpus import LANGUAGES, Sample
@@ -104,22 +104,11 @@ def rouge_n(pred: Sequence[str], ref: Sequence[str], n: int) -> tuple[float, flo
     return _prf(*_clipped(pred, ref, (n,))[0])
 
 
-def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common (in-order, not necessarily contiguous)
-    token subsequence."""
-    return _kernels.lcs_length(a, b)
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Character-level edit distance (insertions, deletions, substitutions)."""
-    return _kernels.levenshtein(a, b)
-
-
 def rouge_l(pred: Sequence[str], ref: Sequence[str]) -> tuple[float, float, float]:
     """ROUGE with the n-gram match replaced by the longest common subsequence."""
     if not len(pred) or not len(ref):
         return 0.0, 0.0, 0.0
-    lcs = _kernels.lcs_length(pred, ref)
+    lcs = lcs_length(pred, ref)
     p = lcs / len(pred)
     r = lcs / len(ref)
     return p, r, _f1(p, r)
@@ -323,8 +312,13 @@ def _most_links(
 
 
 def _align_path(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int, str]:
-    """`_align` plus the path that produced it: "greedy-by-length",
-    "greedy-proven" (greedy meets the link bound) or "exact"."""
+    """Exact-match unigram alignment: (match count, chunk count, path).
+
+    Matches are maximized first (per-token minimum of occurrence counts), then
+    the number of chunks (maximal runs contiguous in both sequences) is
+    minimized: exactly when ref has at most 16 tokens ("greedy-proven" when
+    greedy meets the link bound, else "exact"), else greedily ("greedy-by-length").
+    """
     m, chunks = _align_greedy(pred, ref)
     if len(ref) > _EXACT_ALIGN_MAX_REF:
         return m, chunks, "greedy-by-length"
@@ -351,17 +345,6 @@ def _align_path(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int, str]
     return m, m - links, "exact"
 
 
-def _align(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
-    """Exact-match unigram alignment: (match count, chunk count).
-
-    Matches are maximized first (per-token minimum of occurrence counts), then
-    the number of chunks (maximal runs contiguous in both sequences) is
-    minimized, exactly when ref has at most 16 tokens, else greedily.
-    """
-    m, chunks, _ = _align_path(pred, ref)
-    return m, chunks
-
-
 def meteor(pred: Sequence[str], ref: Sequence[str], params: MeteorParams = MeteorParams()) -> float:
     """Unigram-alignment score with a fragmentation penalty.
 
@@ -369,7 +352,7 @@ def meteor(pred: Sequence[str], ref: Sequence[str], params: MeteorParams = Meteo
     the parametrized harmonic mean of precision and recall is discounted by
     gamma * (chunks / matches) ** beta.
     """
-    m, chunks = _align(pred, ref)
+    m, chunks, _ = _align_path(pred, ref)
     if m == 0:
         return 0.0
     p = m / len(pred)
@@ -383,7 +366,7 @@ def edit_distance_norm(pred: str, ref: str) -> float:
     """1 - levenshtein/max(len); higher means more similar. Both empty -> 1."""
     if not pred and not ref:
         return 1.0
-    return 1.0 - _kernels.levenshtein(pred, ref) / max(len(pred), len(ref))
+    return 1.0 - levenshtein(pred, ref) / max(len(pred), len(ref))
 
 
 def _trim_trailing(text: str) -> str:
@@ -519,11 +502,8 @@ def _score_pair(
     if "ED" in wanted:
         values["ED"] = edit_distance_norm(prediction, reference)
     if "CA" in wanted:
-        if ca is None:
-            checker = cfg.checker_for(language)
-            if checker is None:
-                raise ConfigError("CA metric enabled but no checker configured")
-            values["CA"] = float(compilation_accuracy(prediction, checker))
+        if ca is None:  # MetricConfig keeps CA only with a checker for every language
+            values["CA"] = float(compilation_accuracy(prediction, cfg.checker_for(language)))
         else:
             values["CA"] = float(ca.result())
     return {name: values[name] for name in cfg.metrics}

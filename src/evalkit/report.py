@@ -23,8 +23,6 @@ from .stats import (
     sc_mean,
 )
 
-FORMATS = ("txt", "csv", "md")
-
 NA = "n/a"
 UNDEF = "undef"
 
@@ -168,8 +166,8 @@ def render_correlation_table(rows: Sequence[CorrelationRow], fmt: str = "txt") -
     return doc
 
 
-def render_boxplot_data(per_metric_means: Mapping[str, float], fmt: str = "csv") -> str:
-    """Plot-ready summary of the distribution of the per-metric means."""
+def render_boxplot_data(per_metric_means: Mapping[str, float]) -> str:
+    """Plot-ready CSV summary of the distribution of the per-metric means."""
     if not per_metric_means:
         raise DataError("boxplot data needs at least one metric mean")
     stats = describe(list(per_metric_means.values()))
@@ -184,12 +182,12 @@ def render_boxplot_data(per_metric_means: Mapping[str, float], fmt: str = "csv")
         _fmt(stats.mean),
         _fmt(stats.std),
     ]
-    return _render_rows(header, [row], fmt)
+    return _render_rows(header, [row], "csv")
 
 
-def render_sc_marker(value: float, fmt: str = "csv") -> str:
-    """One-row file carrying the SC mean, the reference marker for the boxplot."""
-    return _render_rows(["sc_mean"], [[_fmt(value)]], fmt)
+def render_sc_marker(value: float) -> str:
+    """One-row CSV file carrying the SC mean, the reference marker for the boxplot."""
+    return _render_rows(["sc_mean"], [[_fmt(value)]], "csv")
 
 
 class AnalysisReport(Record):

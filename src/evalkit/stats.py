@@ -19,8 +19,6 @@ from .corpus import Corpus
 from .errors import DataError
 from .metrics import CANONICAL_METRICS
 
-PARTITION_KINDS = ("whole", "correct", "wrong")
-
 
 class Partition(Record):
     """A named subset of labeled sample ids."""
@@ -65,7 +63,7 @@ def partition_by_sc(corpus: Corpus) -> tuple[Partition, Partition, Partition]:
 
     Unlabeled samples are excluded; their count is len(corpus) - len(whole).
     """
-    labeled = corpus.labeled_samples
+    labeled = [s for s in corpus if s.labeled]
     if not labeled:
         raise DataError("no labeled samples: every sample is missing the sc field")
     whole = tuple(s.id for s in labeled)

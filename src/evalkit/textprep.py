@@ -16,14 +16,12 @@ from ._record import Record
 from .corpus import open_utf8
 from .errors import ConfigError, DataError
 
-TOKENIZER_MODES = ("whitespace", "code-punct", "char")
-
-NEWLINE_TOKEN = "\n"
+TOKENIZER_MODES = ("whitespace", "code-punct")
 
 # A "whitespace" token is a run of anything but space, tab, \f, \v and
 # newline; a "code-punct" token is a word run, an operator run or any other
 # single non-space character. Tokens never span a newline, so one scan of the
-# whole text finds them, each newline being a NEWLINE_TOKEN when so configured.
+# whole text finds them, each newline being a "\n" token when so configured.
 _TOKEN = {
     "whitespace": r"[^ \t\f\v\n]+",
     "code-punct": r"[A-Za-z0-9_]+|[+\-*/%=!<>&|^~]+|\S",
@@ -40,9 +38,8 @@ class TokenizerConfig(Record):
 
     mode "whitespace" splits on runs of spaces, tabs, form feeds and vertical
     tabs, and on nothing else; newlines either act as whitespace or emit a
-    NEWLINE_TOKEN per newline_is_token. mode "code-punct" additionally splits
-    commas, brackets and operator runs into standalone tokens. mode "char"
-    emits one token per character and ignores newline_is_token.
+    "\\n" token per newline_is_token. mode "code-punct" additionally splits
+    commas, brackets and operator runs into standalone tokens.
     """
 
     _fields = ("mode", "newline_is_token", "lowercase")
@@ -68,8 +65,6 @@ def tokenize(text: str, cfg: TokenizerConfig) -> tuple[str, ...]:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     if cfg.lowercase:
         text = text.lower()
-    if cfg.mode == "char":
-        return tuple(text)
     return tuple(_TOKEN_PATTERNS[cfg.mode, cfg.newline_is_token].findall(text))
 
 
@@ -136,12 +131,6 @@ class StandardizationMap(Record):
         if len(set(literals)) != len(literals):
             raise ValueError("placeholder map is not injective")
         self.__dict__.update(entries=entries)
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def compile_rules(
@@ -243,7 +232,7 @@ def destandardize(snippet: str, smap: StandardizationMap) -> str:
     Placeholders without a map entry are left intact and logged; replacement is
     single-pass, so literals containing "var#" are never re-expanded.
     """
-    mapping = smap.as_dict()
+    mapping = dict(smap.entries)
     unknown: list[str] = []
 
     def sub(m: re.Match) -> str:

@@ -276,8 +276,6 @@ def tokenize_by_lines(text: str, mode: str, newline_is_token: bool, lowercase: b
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     if lowercase:
         text = text.lower()
-    if mode == "char":
-        return tuple(text)
     out = []
     for k, line in enumerate(text.split("\n")):
         if k and newline_is_token:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
+import os
 import random
 import threading
 
@@ -310,6 +312,23 @@ class TestAnalyze:
         assert f"{out / 'results.csv'}:3:" in capsys.readouterr().err
         assert not (out / "analysis" / "offsets.csv").exists()
 
+    @pytest.mark.parametrize("header, problem", [
+        ("id", "no metric column"),
+        ("id,FOO", "no metric column"),
+        ("id,EM,EM", "column 'EM' appears twice in the header"),
+    ], ids=["id-only", "unknown-column", "repeated-column"])
+    def test_results_without_a_metric_column_each_exit_2(self, tmp_path, capsys, header, problem):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        results = tmp_path / "results.csv"
+        cells = ",1.000000" * header.count(",")
+        results.write_text(header + "\n" + "".join(f"{r['id']}{cells}\n" for r in GOOD))
+        code = run("analyze", "--corpus", corpus, "--results", results,
+                   "--out", tmp_path / "analysis")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {results}: ") and problem in err
+        assert not (tmp_path / "analysis").exists()
+
     def test_all_partitions_and_documents_written(self, tmp_path):
         code, outdir = self._eval_then_analyze(tmp_path, GOOD)
         assert code == 0
@@ -476,6 +495,22 @@ class TestExitCodes:
 
     def test_missing_corpus_file_exits_config(self, tmp_path):
         assert run("eval", "--corpus", tmp_path / "none.jsonl", "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--corpus"), ("eval", "--metrics-config"), ("preprocess", "--rules"),
+    ], ids=["corpus", "metrics-config", "rules"])
+    def test_directory_for_an_input_file_exits_1(self, tmp_path, capsys, command, flag):
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        flags = {"--corpus": write_corpus_file(tmp_path, GOOD), flag: directory}
+        assert run(command, *[x for pair in flags.items() for x in pair], "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {directory}: {os.strerror(errno.EISDIR)}\n"
+
+    def test_existing_file_for_out_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert run("eval", "--corpus", write_corpus_file(tmp_path, GOOD), "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.EEXIST)}\n"
 
     @pytest.mark.parametrize("command, flags, text", [
         ("eval", ["--metrics-config"], b'{\n"metrics": ["EM", "ED\xff"]\n}\n'),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
@@ -58,10 +59,13 @@ class TestLoadCorpus:
             load_corpus(path, "jsonl")
 
     def test_csv_round_trip_with_embedded_newline(self, tmp_path):
-        sample = make_sample(0, prediction="a\nb", reference='x,"y"', sc=1)
-        corpus = Corpus((sample,))
+        # evalkit writes only jsonl; the csv module writes this as a
+        # spreadsheet exports it, quoting the newline, comma and quotes
         path = tmp_path / "c.csv"
-        write_corpus(corpus, path, "csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "intent", "reference", "prediction", "sc", "language"])
+            writer.writerow(["s0", "intent 0", 'x,"y"', "a\nb", 1, "assembly"])
         reloaded = load_corpus(path, "csv")
         assert reloaded.samples[0].prediction == "a\nb"
         assert reloaded.samples[0].reference == 'x,"y"'
@@ -79,7 +83,7 @@ class TestLoadCorpus:
     def test_jsonl_round_trip(self, tmp_path):
         corpus = random_corpus(20, seed=5)
         path = tmp_path / "c.jsonl"
-        write_corpus(corpus, path, "jsonl")
+        write_corpus(corpus, path)
         assert load_corpus(path, "jsonl").samples == corpus.samples
 
     def test_unknown_language_rejected(self):

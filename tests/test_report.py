@@ -119,7 +119,7 @@ class TestCorrelationTable:
 
 class TestBoxplotData:
     def test_degenerate_box(self):
-        doc = render_boxplot_data({"EM": 0.5, "ED": 0.5}, "csv")
+        doc = render_boxplot_data({"EM": 0.5, "ED": 0.5})
         line = doc.splitlines()[1].split(",")
         assert line[0] == "all-metrics"
         assert line[1:7] == ["0.500"] * 6
@@ -130,13 +130,13 @@ class TestBoxplotData:
 
         means = {f"m{i}": v for i, v in enumerate([0.1, 0.4, 0.5, 0.9])}
         stats = describe(list(means.values()))
-        line = render_boxplot_data(means, "csv").splitlines()[1].split(",")
+        line = render_boxplot_data(means).splitlines()[1].split(",")
         assert line[1] == f"{stats.min:.3f}"
         assert line[3] == f"{stats.median:.3f}"
         assert line[5] == f"{stats.max:.3f}"
 
     def test_marker_file(self):
-        assert render_sc_marker(0.53, "csv") == "sc_mean\n0.530\n"
+        assert render_sc_marker(0.53) == "sc_mean\n0.530\n"
 
 
 class TestBuildReport:

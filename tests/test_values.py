@@ -116,7 +116,7 @@ VALUES = {
     ),
     "TokenizerConfig-defaults": (
         lambda: TokenizerConfig(),
-        lambda: TokenizerConfig("char"),
+        lambda: TokenizerConfig("code-punct"),
         "TokenizerConfig(mode='whitespace', newline_is_token=False, lowercase=False)",
     ),
     "StopwordList": (
