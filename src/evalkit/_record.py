@@ -4,8 +4,9 @@ A subclass lists its fields in `_fields`, in constructor order, and sets them
 in its own `__init__` with `self.__dict__.update(...)`, after its checks.
 The base gives it what a frozen dataclass has: equality and hashing over the
 fields (an instance equals only an instance of the same class), a
-`Name(field=value, ...)` repr, and assignment and deletion that raise
-AttributeError. Instances copy and pickle through their `__dict__`.
+`Name(field=value, ...)` repr, `_replace` as on a named tuple, and assignment
+and deletion that raise AttributeError. Instances copy and pickle through
+their `__dict__`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,15 @@ class Record:
     def _values(self) -> tuple:
         attrs = self.__dict__
         return tuple([attrs[name] for name in self._fields])
+
+    def _replace(self, **changes):
+        """A copy with `changes` applied, built through the constructor, so
+        every check of the new values runs."""
+        attrs = self.__dict__
+        for name in self._fields:
+            if name not in changes:
+                changes[name] = attrs[name]
+        return self.__class__(**changes)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -21,11 +21,10 @@ import locale  # noqa: F401
 import shutil  # noqa: F401
 
 from . import __version__
-from .checkers import SyntaxChecker
 from .corpus import (
     Corpus,
-    Sample,
     SplitSpec,
+    _to_json,
     load_corpus,
     load_results,
     open_utf8,
@@ -81,12 +80,14 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _tokenizer_from_dict(obj, where: str) -> TokenizerConfig:
-    unknown = set(_object(obj, where)) - {"mode", "newline_is_token", "lowercase"}
+def _record(cls, obj, where: str):
+    """`cls(**obj)` for a JSON object whose keys are fields of `cls`; a bad key
+    or value raises ConfigError naming `where`."""
+    unknown = set(_object(obj, where)) - set(cls._fields)
     if unknown:
         raise ConfigError(f"unknown {where} option(s): {', '.join(sorted(unknown))}")
     try:
-        return TokenizerConfig(**obj)
+        return cls(**obj)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -99,18 +100,15 @@ def _config_kwargs(obj) -> dict:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     kwargs: dict = {}
     if "metrics" in obj:
-        metrics = obj["metrics"]
-        if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
-            raise ConfigError(f"metrics must be a list of metric names, got {json.dumps(metrics)}")
-        kwargs["metrics"] = tuple(metrics)
+        kwargs["metrics"] = obj["metrics"]
     if "tokenizers" in obj:
         base = dict(MetricConfig().tokenizers)
         for language, tok in _object(obj["tokenizers"], "tokenizers").items():
-            base[language] = _tokenizer_from_dict(tok, f"tokenizers.{language}")
+            base[language] = _record(TokenizerConfig, tok, f"tokenizers.{language}")
         kwargs["tokenizers"] = base
     if "meteor_tokenizer" in obj:
-        kwargs["meteor_tokenizer"] = _tokenizer_from_dict(
-            obj["meteor_tokenizer"], "meteor_tokenizer"
+        kwargs["meteor_tokenizer"] = _record(
+            TokenizerConfig, obj["meteor_tokenizer"], "meteor_tokenizer"
         )
     if "bleu" in obj:
         bleu = _object(obj["bleu"], "bleu")
@@ -118,16 +116,9 @@ def _config_kwargs(obj) -> dict:
         if bad:
             raise ConfigError(f"unknown bleu option(s): {', '.join(sorted(bad))}")
         kwargs["bleu_smoothing"] = bleu.get("smoothing", "none")
-        epsilon = bleu.get("epsilon", DEFAULT_BLEU_EPSILON)
-        if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-            raise ConfigError(f"bleu epsilon must be a number, got {json.dumps(epsilon)}")
-        kwargs["bleu_epsilon"] = float(epsilon)
+        kwargs["bleu_epsilon"] = bleu.get("epsilon", DEFAULT_BLEU_EPSILON)
     if "meteor" in obj:
-        meteor = _object(obj["meteor"], "meteor")
-        bad = set(meteor) - {"alpha", "beta", "gamma"}
-        if bad:
-            raise ConfigError(f"unknown meteor option(s): {', '.join(sorted(bad))}")
-        kwargs["meteor_params"] = MeteorParams(**meteor)
+        kwargs["meteor_params"] = _record(MeteorParams, obj["meteor"], "meteor")
     if "checker" in obj:
         if not isinstance(obj["checker"], str):
             raise ConfigError(f"checker must be a string, got {json.dumps(obj['checker'])}")
@@ -162,30 +153,22 @@ def load_metric_config(path: str | None, checker: str | None = None) -> MetricCo
 def _config_echo(cfg: MetricConfig, jobs: int) -> str:
     """Stable JSON description of the effective run configuration."""
 
-    def tok(t: TokenizerConfig) -> dict:
-        return {"mode": t.mode, "newline_is_token": t.newline_is_token, "lowercase": t.lowercase}
+    def fields(value) -> dict:
+        return {name: getattr(value, name) for name in value._fields}
 
-    checker = cfg.checker
-    if isinstance(checker, SyntaxChecker):
-        checker = f"{checker.kind}:{checker.name}"
     obj = {
-        "bleu": {"smoothing": cfg.bleu_smoothing, "epsilon": cfg.bleu_epsilon},
-        "checker": checker,
+        "bleu": {"smoothing": cfg.bleu_smoothing, "epsilon": float(cfg.bleu_epsilon)},
+        "checker": cfg.checker,
         "jobs": jobs,
-        "meteor": {
-            "alpha": cfg.meteor_params.alpha,
-            "beta": cfg.meteor_params.beta,
-            "gamma": cfg.meteor_params.gamma,
-        },
-        "meteor_tokenizer": tok(cfg.meteor_tokenizer),
+        "meteor": fields(cfg.meteor_params),
+        "meteor_tokenizer": fields(cfg.meteor_tokenizer),
         "metrics": list(cfg.metrics),
-        "tokenizers": {lang: tok(t) for lang, t in sorted(cfg.tokenizers.items())},
+        "tokenizers": {lang: fields(t) for lang, t in cfg.tokenizers.items()},
     }
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -214,7 +197,7 @@ def cmd_analyze(args) -> int:
     corpus = load_corpus(args.corpus, _corpus_format(args.corpus, args.format))
     results = load_results(args.results)
     if results and not set(CANONICAL_METRICS).intersection(results[0][1]):
-        raise DataError(f"{args.results}: no metric column (expected any of {', '.join(CANONICAL_METRICS)})")
+        raise DataError(f"{args.results}:1: no metric column (expected any of {', '.join(CANONICAL_METRICS)})")
     report = build_report(corpus, dict(results))
     wanted = tuple(report.offset_rows) if args.partition == "all" else (args.partition,)
     offset_rows = {k: report.offset_rows[k] for k in wanted}
@@ -272,51 +255,30 @@ def cmd_preprocess(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sidecar_path = Path(args.sidecar) if args.sidecar else out / "standardization_maps.jsonl"
-
+    samples = []
     if args.destandardize:
         maps = _load_sidecar(sidecar_path)
-        restored = []
         for s in corpus:
             smap = maps.get(s.id, StandardizationMap())
-            restored.append(
-                Sample(
-                    id=s.id,
-                    intent=destandardize(s.intent, smap),
-                    reference=s.reference,
-                    prediction=destandardize(s.prediction, smap),
-                    sc=s.sc,
-                    language=s.language,
-                )
-            )
-        write_corpus(Corpus(tuple(restored), corpus.provenance), out / "corpus.jsonl")
-        print(f"destandardized {len(restored)} samples -> {out / 'corpus.jsonl'}")
-        return EXIT_OK
-
-    rules = load_rules(args.rules) if args.rules else default_rules()
-    stopwords = _stopword_list(args)
-    processed = []
-    with open(sidecar_path, "w", encoding="utf-8", newline="\n") as side:
-        for s in corpus:
-            intent = s.intent
-            if stopwords is not None:
-                seq = tokenize(intent, TokenizerConfig(mode="whitespace"))
-                intent = " ".join(filter_stopwords(seq, stopwords))
-            intent, smap = standardize(intent, rules)
-            side.write(
-                json.dumps({"id": s.id, "map": dict(smap.entries)}, ensure_ascii=False) + "\n"
-            )
-            processed.append(
-                Sample(
-                    id=s.id,
-                    intent=intent,
-                    reference=s.reference,
-                    prediction=s.prediction,
-                    sc=s.sc,
-                    language=s.language,
-                )
-            )
-    write_corpus(Corpus(tuple(processed), corpus.provenance), out / "corpus.jsonl")
-    print(f"standardized {len(processed)} samples -> {out / 'corpus.jsonl'} (+ sidecar)")
+            samples.append(s._replace(intent=destandardize(s.intent, smap),
+                                      prediction=destandardize(s.prediction, smap)))
+        done, note = "destandardized", ""
+    else:
+        rules = load_rules(args.rules) if args.rules else default_rules()
+        stopwords = _stopword_list(args)
+        sidecar_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(sidecar_path, "w", encoding="utf-8", newline="\n") as side:
+            for s in corpus:
+                intent = s.intent
+                if stopwords is not None:
+                    seq = tokenize(intent, TokenizerConfig(mode="whitespace"))
+                    intent = " ".join(filter_stopwords(seq, stopwords))
+                intent, smap = standardize(intent, rules)
+                side.write(_to_json({"id": s.id, "map": dict(smap.entries)}) + "\n")
+                samples.append(s._replace(intent=intent))
+        done, note = "standardized", " (+ sidecar)"
+    write_corpus(Corpus(tuple(samples), corpus.provenance), out / "corpus.jsonl")
+    print(f"{done} {len(samples)} samples -> {out / 'corpus.jsonl'}{note}")
     return EXIT_OK
 
 

@@ -79,34 +79,32 @@ class Corpus(Record):
         return iter(self.samples)
 
 
+# The fields a corpus record must have; "sc" may be absent or empty.
+_REQUIRED = tuple(name for name in Sample._fields if name != "sc")
+
+
 def _sample_from_record(record: Mapping, where: str) -> Sample:
-    for key in ("id", "intent", "reference", "prediction", "language"):
-        if key not in record or record[key] is None:
+    fields = {}
+    for key in _REQUIRED:
+        value = record.get(key)
+        if value is None:
             raise DataError(f"{where}: missing field {key!r}")
+        fields[key] = str(value)
     where = f"{where} (sample {record['id']!r})"
     sc = record.get("sc")
+    if isinstance(sc, str):
+        sc = sc.strip() or None
     if sc is not None:
-        if isinstance(sc, str):
-            sc = sc.strip()
-            if sc == "":
-                sc = None
-        if sc is not None:
-            try:
-                value = int(sc)
-            except (TypeError, ValueError):
-                raise DataError(f"{where}: invalid sc {record.get('sc')!r}") from None
-            if value not in (0, 1) or (isinstance(sc, float) and sc != value):
-                raise DataError(f"{where}: invalid sc {record.get('sc')!r}")
-            sc = value
+        try:
+            label = int(sc)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
+            label = None
+        if label not in (0, 1) or (isinstance(sc, float) and sc != label):
+            raise DataError(f"{where}: invalid sc {record['sc']!r}")
+        sc = label
+    fields["sc"] = sc
     try:
-        return Sample(
-            id=str(record["id"]),
-            intent=str(record["intent"]),
-            reference=str(record["reference"]),
-            prediction=str(record["prediction"]),
-            sc=sc,
-            language=str(record["language"]),
-        )
+        return Sample(**fields)
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from None
 
@@ -143,10 +141,10 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
         with open_utf8(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
-                raise DataError(f"{path}: empty CSV file")
-            missing = {"id", "intent", "reference", "prediction", "language"} - set(reader.fieldnames)
+                raise DataError(f"{path}:1: empty CSV file")
+            missing = set(_REQUIRED) - set(reader.fieldnames)
             if missing:
-                raise DataError(f"{path}: missing columns: {', '.join(sorted(missing))}")
+                raise DataError(f"{path}:1: missing columns: {', '.join(sorted(missing))}")
             for rownum, row in enumerate(reader, 2):
                 samples.append(_sample_from_record(row, f"{path}:row {rownum}"))
     else:
@@ -154,20 +152,20 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     return Corpus(tuple(samples), provenance={"source": str(path), "format": format})
 
 
+# json.dumps(value, ensure_ascii=False), without building an encoder per call
+_to_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_corpus(corpus: Corpus, path) -> None:
-    """Write a corpus as jsonl, one record per sample."""
+    """Write a corpus as jsonl, one record per sample; an unlabeled sample's
+    record has no "sc"."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in corpus:
-            record = {
-                "id": s.id,
-                "intent": s.intent,
-                "reference": s.reference,
-                "prediction": s.prediction,
-            }
-            if s.sc is not None:
-                record["sc"] = s.sc
-            record["language"] = s.language
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            attrs = s.__dict__
+            record = {name: attrs[name] for name in Sample._fields}
+            if record["sc"] is None:
+                del record["sc"]
+            fh.write(_to_json(record) + "\n")
 
 
 def _as_fraction(value) -> Fraction:
@@ -281,12 +279,12 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError(f"{path}: empty results file") from None
+            raise DataError(f"{path}:1: empty results file") from None
         if not header or header[0] != "id":
-            raise DataError(f"{path}: malformed results header")
+            raise DataError(f"{path}:1: malformed results header")
         for k, column in enumerate(header):
             if column in header[:k]:
-                raise DataError(f"{path}: column {column!r} appears twice in the header")
+                raise DataError(f"{path}:1: column {column!r} appears twice in the header")
         metrics = header[1:]
         for lineno, row in enumerate(reader, 2):
             if len(row) != len(header):

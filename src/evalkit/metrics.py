@@ -46,6 +46,8 @@ MetricVector = dict[str, float]
 
 def canonical_subset(names: Sequence[str]) -> tuple[str, ...]:
     """Validate metric names and return them in canonical order."""
+    if not isinstance(names, (list, tuple)) or not all(isinstance(m, str) for m in names):
+        raise ConfigError(f"metrics must be a list of metric names, got {names!r}")
     unknown = set(names) - set(CANONICAL_METRICS)
     if unknown:
         raise ConfigError(f"unknown metric name(s): {', '.join(sorted(unknown))}")
@@ -125,6 +127,8 @@ DEFAULT_BLEU_EPSILON = 0.1
 def _check_bleu_options(smoothing: str, epsilon: float) -> None:
     if smoothing not in BLEU_SMOOTHING_MODES:
         raise ConfigError(f"unknown BLEU smoothing {smoothing!r}")
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise ConfigError(f"bleu epsilon must be a number, got {epsilon!r}")
     if not 0 < epsilon <= 1:  # also rejects NaN
         raise ConfigError(f"bleu epsilon must be in (0, 1], got {epsilon}")
 
@@ -418,6 +422,10 @@ class MetricConfig(Record):
             tokenizers = dict(tokenizers)
         metrics = canonical_subset(metrics)
         _check_bleu_options(bleu_smoothing, bleu_epsilon)
+        if not isinstance(meteor_tokenizer, TokenizerConfig):
+            raise ConfigError(f"meteor_tokenizer must be a TokenizerConfig, got {meteor_tokenizer!r}")
+        if not isinstance(meteor_params, MeteorParams):
+            raise ConfigError(f"meteor_params must be a MeteorParams, got {meteor_params!r}")
         if not isinstance(tokenizers, Mapping):
             raise ConfigError(f"tokenizers must map languages to TokenizerConfigs, got {tokenizers!r}")
         for language, tok in tokenizers.items():

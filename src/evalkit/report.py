@@ -74,53 +74,31 @@ def render_offset_table(
 ) -> str:
     """One row per metric with (value, offset, flag) per partition plus an
     Average footer; empty partitions render as n/a columns."""
-    partitions = tuple(rows_by_partition)
-    metric_sets = []
-    for part in partitions:
-        rows = rows_by_partition[part]
-        if rows is not None:
-            metric_sets.append(tuple(r.metric for r in rows))
+    metric_sets = {
+        tuple(r.metric for r in rows) for rows in rows_by_partition.values() if rows is not None
+    }
     if not metric_sets:
         raise DataError("offset table needs at least one non-empty partition")
-    if len(set(metric_sets)) != 1:
+    if len(metric_sets) != 1:
         raise DataError("partitions disagree on the metric set")
-    metrics = metric_sets[0]
+    (metrics,) = metric_sets
+    if not metrics:
+        raise DataError("offset table needs at least one metric")
 
-    by_part: dict[str, dict[str, OffsetRow]] = {}
-    flags: dict[str, dict[str, str]] = {}
-    for part in partitions:
-        rows = rows_by_partition[part]
-        if rows is None:
-            continue
-        by_part[part] = {r.metric: r for r in rows}
-        flags[part] = _flags({r.metric: r.offset for r in rows}, lower_is_better=True)
-
+    # Built a column at a time, each ending in its footer cell, then transposed.
     header = ["metric"]
-    for part in partitions:
+    columns = [[*metrics, "Average"]]
+    height = len(columns[0])
+    for part, rows in rows_by_partition.items():
         header += [f"{part}_value", f"{part}_offset", f"{part}_flag"]
-    table: list[list[str]] = []
-    for metric in metrics:
-        row = [metric]
-        for part in partitions:
-            if part not in by_part:
-                row += [NA, NA, ""]
-            else:
-                entry = by_part[part][metric]
-                row += [_fmt(entry.mean_value), _fmt(entry.offset), flags[part][metric]]
-        table.append(row)
-    footer = ["Average"]
-    for part in partitions:
-        if part not in by_part:
-            footer += [NA, NA, ""]
-        else:
-            rows = list(by_part[part].values())
-            footer += [
-                _fmt(sum(r.mean_value for r in rows) / len(rows)),
-                _fmt(sum(r.offset for r in rows) / len(rows)),
-                "",
-            ]
-    table.append(footer)
-    return _render_rows(header, table, fmt)
+        if rows is None:
+            columns += [[NA] * height, [NA] * height, [""] * height]
+            continue
+        flags = _flags({r.metric: r.offset for r in rows}, lower_is_better=True)
+        for values in ([r.mean_value for r in rows], [r.offset for r in rows]):
+            columns.append([*map(_fmt, values), _fmt(sum(values) / len(values))])
+        columns.append([flags[r.metric] for r in rows] + [""])
+    return _render_rows(header, list(zip(*columns)), fmt)
 
 
 def render_correlation_table(rows: Sequence[CorrelationRow], fmt: str = "txt") -> str:
@@ -171,18 +149,8 @@ def render_boxplot_data(per_metric_means: Mapping[str, float]) -> str:
     if not per_metric_means:
         raise DataError("boxplot data needs at least one metric mean")
     stats = describe(list(per_metric_means.values()))
-    header = ["metric", "min", "q1", "median", "q3", "max", "mean", "std"]
-    row = [
-        "all-metrics",
-        _fmt(stats.min),
-        _fmt(stats.q1),
-        _fmt(stats.median),
-        _fmt(stats.q3),
-        _fmt(stats.max),
-        _fmt(stats.mean),
-        _fmt(stats.std),
-    ]
-    return _render_rows(header, [row], "csv")
+    row = ["all-metrics", *(_fmt(getattr(stats, name)) for name in stats._fields)]
+    return _render_rows(["metric", *stats._fields], [row], "csv")
 
 
 def render_sc_marker(value: float) -> str:

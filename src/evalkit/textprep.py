@@ -139,8 +139,9 @@ def compile_rules(
     """Compile (name, regex) pairs, rejecting bad patterns with a ConfigError.
 
     Already-compiled patterns pass through unchanged (flags preserved). Rules
-    that can match the empty string are rejected: they would standardize
-    nothing while stalling the left-to-right scan.
+    that match the empty string are rejected: they would standardize nothing
+    while stalling the left-to-right scan. One that matches it only in
+    context, such as \\b, passes here and is rejected by `standardize`.
     """
     compiled = []
     for name, pattern in rules:
@@ -199,30 +200,30 @@ def standardize(
     Matching is left-to-right, first-match-wins: at each position the earliest
     match starts a replacement; among rules matching at the same position the
     one listed first wins. Identical literals reuse their placeholder. Returns
-    the rewritten intent plus the map needed to invert the rewrite.
+    the rewritten intent plus the map needed to invert the rewrite. A chosen
+    match that is empty raises ConfigError naming the rule and the offset.
     """
     compiled = compile_rules(rules)
     out: list[str] = []
-    entries: list[str] = []  # literals in order of first appearance
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}  # literal -> placeholder number, in order of first appearance
     pos = 0
     while pos < len(intent):
         best: re.Match | None = None
-        for _, pattern in compiled:
+        for name, pattern in compiled:
             m = pattern.search(intent, pos)
             if m is not None and (best is None or m.start() < best.start()):
-                best = m
+                best, rule = m, name
         if best is None:
             out.append(intent[pos:])
             break
+        if best.end() == best.start():
+            raise ConfigError(
+                f"rule {rule!r}: regex matches the empty string at offset {best.start()}"
+            )
         out.append(intent[pos : best.start()])
-        literal = best.group()
-        if literal not in index:
-            index[literal] = len(entries)
-            entries.append(literal)
-        out.append(f"var{index[literal]}")
+        out.append(f"var{index.setdefault(best.group(), len(index))}")
         pos = best.end()
-    smap = StandardizationMap(tuple((f"var{i}", lit) for i, lit in enumerate(entries)))
+    smap = StandardizationMap(tuple((f"var{i}", lit) for i, lit in enumerate(index)))
     return "".join(out), smap
 
 

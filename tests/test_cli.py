@@ -183,9 +183,11 @@ class TestEval:
         ('{"tokenizers": {"asembly": {"lowercase": true}}}', "tokenizers.asembly"),
         ('{"checker": "bogus"}', "unknown checker selector 'bogus'"),
         ('{"checker": "cmd:true"}', "{file}"),
+        ('{"meteor_tokenizer": {"case": "lower"}}', "unknown meteor_tokenizer option(s): case"),
+        ('{"metrics": ["EM",]}', "invalid JSON"),
     ], ids=["top-level", "metrics", "bleu", "tokenizer", "meteor-alpha", "checker",
             "lowercase-string", "nan-beta", "tokenizer-language-typo", "checker-selector",
-            "cmd-without-file"])
+            "cmd-without-file", "meteor-tokenizer-key", "invalid-json"])
     def test_config_value_of_wrong_type_exits_1(self, tmp_path, capsys, payload, key):
         corpus = write_corpus_file(tmp_path, GOOD)
         cfg = tmp_path / "m.json"
@@ -261,6 +263,55 @@ class TestEval:
         header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "id,EM,ED"
 
+    def test_meteor_tokenizer_and_number_types_echoed(self, tmp_path):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        cfg = tmp_path / "metrics.json"
+        cfg.write_text(json.dumps({
+            "meteor_tokenizer": {"mode": "whitespace"},
+            "bleu": {"smoothing": "epsilon", "epsilon": 1},
+            "meteor": {"beta": 2},
+        }))
+        out = tmp_path / "out"
+        assert run("eval", "--corpus", corpus, "--out", out, "--metrics-config", cfg) == 0
+        echo = (out / "run_config.json").read_text()
+        assert json.loads(echo)["meteor_tokenizer"] == {
+            "lowercase": False, "mode": "whitespace", "newline_is_token": False,
+        }
+        assert '"epsilon": 1.0,' in echo  # echoed as a float, as written before
+        assert '"beta": 2,' in echo and '"alpha": 0.9,' in echo
+
+    @pytest.mark.parametrize("name, text, line, message", [
+        ("corpus.jsonl", json.dumps(GOOD[0]) + "\n{oops\n", 2, "JSON parse error"),
+        ("corpus.jsonl", json.dumps(GOOD[0]) + "\n[1, 2]\n", 2, "expected an object per line"),
+        ("corpus.jsonl", json.dumps(dict(GOOD[0], sc="yes")) + "\n", 1,
+         "(sample 'a'): invalid sc 'yes'"),
+        ("corpus.jsonl", json.dumps(dict(GOOD[0], sc=float("inf"))) + "\n", 1,
+         "(sample 'a'): invalid sc inf"),
+        ("corpus.csv", "", 1, "empty CSV file"),
+        ("corpus.csv", "id,intent,reference,prediction,sc\na,i,r,p,1\n", 1,
+         "missing columns: language"),
+    ], ids=["jsonl-parse-error", "jsonl-not-an-object", "jsonl-invalid-sc", "jsonl-infinite-sc",
+            "csv-empty", "csv-missing-column"])
+    def test_bad_corpus_exits_2_naming_file_and_line(self, tmp_path, capsys, name, text, line,
+                                                     message):
+        corpus = tmp_path / name
+        corpus.write_text(text, encoding="utf-8")
+        code = run("eval", "--corpus", corpus, "--out", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}:{line}") and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_csv_format_flag_overrides_the_extension(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("id,intent,reference,prediction,sc,language\n"
+                          "a,i,mov eax,mov eax,1,assembly\nb,i,ret,nop,,assembly\n")
+        out = tmp_path / "out"
+        assert run("eval", "--corpus", corpus, "--format", "jsonl", "--out", out) == 2
+        assert run("eval", "--corpus", corpus, "--format", "csv", "--out", out) == 0
+        rows = (out / "results.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["id", "a", "b"]
+
     def test_checker_infrastructure_failure_exits_3(self, tmp_path):
         corpus = write_corpus_file(tmp_path, GOOD)
         code = run("eval", "--corpus", corpus, "--out", tmp_path / "o",
@@ -326,7 +377,23 @@ class TestAnalyze:
                    "--out", tmp_path / "analysis")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {results}: ") and problem in err
+        assert err.startswith(f"error: {results}:1: ") and problem in err
+        assert not (tmp_path / "analysis").exists()
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "empty results file"),
+        ("ID,EM\na,1.000000\n", 1, "malformed results header"),
+        ("id,EM,ED\na,1.000000,1.000000\nb,1.000000\n", 3, "expected 3 columns"),
+    ], ids=["empty", "header", "column-count"])
+    def test_malformed_results_exit_2_naming_file_and_line(self, tmp_path, capsys, text, line,
+                                                           message):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        results = tmp_path / "results.csv"
+        results.write_text(text)
+        code = run("analyze", "--corpus", corpus, "--results", results,
+                   "--out", tmp_path / "analysis")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {results}:{line}: {message}\n"
         assert not (tmp_path / "analysis").exists()
 
     def test_all_partitions_and_documents_written(self, tmp_path):
@@ -440,6 +507,36 @@ class TestPreprocess:
         err = capsys.readouterr().err
         assert f"{sidecar}:2:" in err and message in err
 
+    def test_sidecar_directory_is_created(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, [dict(GOOD[0], intent="push 0x1")])
+        sidecar = tmp_path / "nodir" / "maps.jsonl"
+        assert run("preprocess", "--corpus", corpus, "--out", tmp_path / "o",
+                   "--sidecar", sidecar) == 0
+        assert sidecar.read_text() == '{"id": "a", "map": {"var0": "0x1"}}\n'
+        assert not (tmp_path / "o" / "standardization_maps.jsonl").exists()
+
+    def test_destandardize_with_a_missing_sidecar_exits_1(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        sidecar = tmp_path / "nodir" / "maps.jsonl"
+        code = run("preprocess", "--corpus", corpus, "--out", tmp_path / "o",
+                   "--destandardize", "--sidecar", sidecar)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: file not found: {sidecar}\n"
+        assert not sidecar.parent.exists()
+
+    @pytest.mark.parametrize("rule, offset", [(r"word=\b", 0), ("a=(?<=i)", 1)],
+                             ids=["word-boundary", "lookbehind"])
+    def test_rule_matching_empty_only_in_context_exits_1(self, tmp_path, capsys, rule, offset):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        rules = tmp_path / "rules.txt"
+        rules.write_text(rule + "\n")
+        code = run("preprocess", "--corpus", corpus, "--out", tmp_path / "o", "--rules", rules)
+        assert code == 1
+        name = rule.split("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: rule {name!r}: regex matches the empty string at offset {offset}\n"
+        )
+
     def test_missing_rules_file_exits_1(self, tmp_path, capsys):
         corpus = write_corpus_file(tmp_path, GOOD)
         code = run("preprocess", "--corpus", corpus, "--out", tmp_path / "o",
@@ -464,6 +561,17 @@ class TestPreprocess:
         assert run("preprocess", "--corpus", corpus, "--out", out, "--filter-stopwords") == 0
         got = json.loads((out / "corpus.jsonl").read_text().splitlines()[0])
         assert got["intent"] == "jump label"
+
+
+    def test_stopword_filtering_with_the_built_in_list(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("EVALKIT_STOPWORDS", raising=False)
+        records = [{"id": "a", "intent": "Jump to the label at 0x10 then return",
+                    "reference": "r", "prediction": "p", "language": "assembly"}]
+        corpus = write_corpus_file(tmp_path, records)
+        out = tmp_path / "o"
+        assert run("preprocess", "--corpus", corpus, "--out", out, "--filter-stopwords") == 0
+        got = json.loads((out / "corpus.jsonl").read_text().splitlines()[0])
+        assert got["intent"] == "Jump label var0 return"
 
 
 class TestSplit:

@@ -70,6 +70,21 @@ class TestOffsetTable:
         with pytest.raises(DataError, match="disagree"):
             render_offset_table(rows, "txt")
 
+    def test_empty_metric_set_rejected(self):
+        for rows in ({"whole": []}, {"whole": [], "wrong": None}):
+            with pytest.raises(DataError, match="at least one metric"):
+                render_offset_table(rows, "txt")
+
+    def test_empty_partitions_fill_every_row_and_the_footer(self):
+        rows = {"correct": None, "whole": offset_rows([("EM", 0.4), ("ED", 0.9)]), "wrong": None}
+        assert render_offset_table(rows, "csv").splitlines() == [
+            "metric,correct_value,correct_offset,correct_flag,whole_value,whole_offset,"
+            "whole_flag,wrong_value,wrong_offset,wrong_flag",
+            "EM,n/a,n/a,,0.400,0.100,best,n/a,n/a,",
+            "ED,n/a,n/a,,0.900,0.400,worst,n/a,n/a,",
+            "Average,n/a,n/a,,0.650,0.250,,n/a,n/a,",
+        ]
+
     def test_deterministic_rendering(self):
         rows = {"whole": offset_rows([("EM", 0.4), ("ED", 0.9)])}
         for fmt in ("txt", "csv", "md"):

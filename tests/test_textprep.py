@@ -180,6 +180,16 @@ class TestStandardize:
         with pytest.raises(ConfigError, match="empty"):
             standardize("x", [("weak", "z*")])
 
+    @pytest.mark.parametrize("rule, intent, offset", [
+        (r"\b", "mov eax", 0),
+        (r"(?<=i)", "i", 1),
+    ], ids=["word-boundary", "lookbehind"])
+    def test_rule_matching_empty_only_in_context_rejected(self, rule, intent, offset):
+        # compile_rules lets these through; the scan must not loop or map ""
+        with pytest.raises(ConfigError) as info:
+            standardize(intent, [("ctx", rule)])
+        assert str(info.value) == f"rule 'ctx': regex matches the empty string at offset {offset}"
+
     def test_precompiled_pattern_keeps_flags(self):
         rule = [("reg", re.compile(r"\beax\b", re.IGNORECASE))]
         text, smap = standardize("move EAX here", rule)

@@ -244,6 +244,24 @@ def test_pickle_and_deepcopy_round_trip(name):
         assert repr(copied) == repr(value)
 
 
+@pytest.mark.parametrize("name", VALUES)
+def test_replace_without_changes_gives_an_equal_copy(name):
+    value = VALUES[name][0]()
+    copied = value._replace()
+    assert copied == value and copied is not value
+
+
+def test_replace_changes_only_the_named_fields_and_runs_the_checks():
+    sample = Sample("a", "i", "r", "p", 1, "assembly")
+    assert repr(sample._replace(intent="x", prediction="q")) == (
+        "Sample(id='a', intent='x', reference='r', prediction='q', sc=1, language='assembly')"
+    )
+    with pytest.raises(DataError, match="invalid sc 2"):
+        sample._replace(sc=2)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        sample._replace(bogus=1)
+
+
 def test_metric_config_equality_ignores_the_resolved_checkers():
     a, b = MetricConfig(), MetricConfig()
     object.__setattr__(b, "_checkers", {})
@@ -305,6 +323,16 @@ BAD_ARGUMENTS = [
     (lambda: MetricConfig(metrics=("BOGUS",)), ConfigError, "unknown metric name(s): BOGUS"),
     (lambda: MetricConfig(bleu_smoothing="x"), ConfigError, "unknown BLEU smoothing 'x'"),
     (lambda: MetricConfig(bleu_epsilon=0), ConfigError, "bleu epsilon must be in (0, 1], got 0"),
+    (lambda: MetricConfig(bleu_epsilon="x"), ConfigError, "bleu epsilon must be a number, got 'x'"),
+    (lambda: MetricConfig(bleu_epsilon=None), ConfigError, "bleu epsilon must be a number, got None"),
+    (lambda: MetricConfig(bleu_epsilon=True), ConfigError, "bleu epsilon must be a number, got True"),
+    (lambda: MetricConfig(metrics=[1]), ConfigError, "metrics must be a list of metric names, got [1]"),
+    (lambda: MetricConfig(metrics="EM"), ConfigError,
+     "metrics must be a list of metric names, got 'EM'"),
+    (lambda: MetricConfig(meteor_tokenizer="x"), ConfigError,
+     "meteor_tokenizer must be a TokenizerConfig, got 'x'"),
+    (lambda: MetricConfig(meteor_params="x"), ConfigError,
+     "meteor_params must be a MeteorParams, got 'x'"),
     (lambda: MetricConfig(tokenizers=None), ConfigError,
      "tokenizers must map languages to TokenizerConfigs, got None"),
     (lambda: MetricConfig(tokenizers={"c": TokenizerConfig()}), ConfigError,
@@ -334,3 +362,4 @@ def test_bad_arguments_raise_as_before(make, error, message):
         make()
     assert type(info.value) is error
     assert message in str(info.value)  # Python 3.13 appends suggestions to some
+
