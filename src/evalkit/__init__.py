@@ -16,10 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "checkers": ("ASSEMBLY_CHECKER", "PYTHON_LIKE_CHECKER", "CheckResult", "SyntaxChecker"),
-    "corpus": (
-        "Corpus", "Sample", "SplitSpec", "load_corpus", "load_results", "split_corpus",
-        "write_results",
-    ),
+    "corpus": ("Corpus", "Sample", "load_corpus", "load_results", "write_results"),
     "errors": ("CheckerError", "ConfigError", "DataError", "EvalkitError"),
     "metrics": (
         "CANONICAL_METRICS", "MeteorParams", "MetricConfig", "bleu", "compilation_accuracy",

@@ -96,8 +96,9 @@ def _check_python_like(snippet: str) -> str | None:
 class SyntaxChecker(Record):
     """A named syntax check: builtin grammar or an external command template.
 
-    External commands get the snippet path substituted for `{file}`, run under
-    `timeout` seconds, and accept the snippet iff they exit 0.
+    External commands get the snippet path substituted for `{file}`, the one
+    replacement field a template may hold, run under `timeout` seconds, and
+    accept the snippet iff they exit 0.
     """
 
     _fields = ("name", "kind", "command", "timeout", "suffix")
@@ -109,8 +110,21 @@ class SyntaxChecker(Record):
         if kind not in CHECKER_KINDS:
             raise ConfigError(f"unknown checker kind {kind!r}")
         if kind == "external-command":
-            if not command or "{file}" not in command:
-                raise ConfigError("external checker needs a command template with {file}")
+            import shlex
+            import string
+
+            if not isinstance(command, str):  # shlex.split(None) would read stdin
+                raise ConfigError(f"external checker template must be a string, got {command!r}")
+            try:  # every replacement field of every argument, as str.format reads it
+                fields = {field[1:] for part in shlex.split(command)
+                          for field in string.Formatter().parse(part) if field[1] is not None}
+            except ValueError as exc:
+                raise ConfigError(f"external checker template {command!r}: {exc}") from None
+            if fields != {("file", "", None)}:
+                raise ConfigError(
+                    "external checker needs a command template with {file} and no other "
+                    f"replacement field, got {command!r}"
+                )
             if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not (
                 0 < timeout < math.inf  # also rejects NaN
             ):

@@ -1,4 +1,4 @@
-"""Command-line entry point: eval -> analyze pipeline plus preprocess and split.
+"""Command-line entry point: eval -> analyze pipeline plus preprocess.
 
 The pipeline is file-mediated (eval writes a result table, analyze reads it
 back) so human labels can be added to the corpus between the two stages. Exit
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,12 +22,10 @@ import shutil  # noqa: F401
 from . import __version__
 from .corpus import (
     Corpus,
-    SplitSpec,
     _to_json,
     load_corpus,
     load_results,
     open_utf8,
-    split_corpus,
     write_corpus,
     write_results,
 )
@@ -57,8 +54,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_CHECKER = 3
-
-STOPWORDS_ENV = "EVALKIT_STOPWORDS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,8 +216,7 @@ def cmd_analyze(args) -> int:
 def _stopword_list(args) -> StopwordList | None:
     if not args.filter_stopwords:
         return None
-    path = args.stopwords or os.environ.get(STOPWORDS_ENV)
-    return StopwordList.from_file(path) if path else default_stopwords()
+    return StopwordList.from_file(args.stopwords) if args.stopwords else default_stopwords()
 
 
 def _load_sidecar(path: Path) -> dict[str, StandardizationMap]:
@@ -282,18 +276,6 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def cmd_split(args) -> int:
-    corpus = load_corpus(args.corpus, _corpus_format(args.corpus, args.format))
-    spec = SplitSpec(args.train, args.valid, args.test, seed=args.seed)
-    train, valid, test = split_corpus(corpus, spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, part in (("train", train), ("valid", valid), ("test", test)):
-        write_corpus(part, out / f"{name}.jsonl")
-    print(f"split {len(corpus)} -> {len(train)}/{len(valid)}/{len(test)} in {out}")
-    return EXIT_OK
-
-
 def _job_count(text: str) -> int:
     """argparse type of --jobs: an integer of at least 1."""
     if not text.isdecimal() or int(text) < 1:
@@ -333,19 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_corpus_args(p_pre)
     p_pre.add_argument("--rules", default=None, help="entity rules file (name=regex per line)")
     p_pre.add_argument("--stopwords", default=None,
-                       help=f"stopword file (default: ${STOPWORDS_ENV} or the built-in list)")
+                       help="stopword file (default: the built-in list)")
     p_pre.add_argument("--filter-stopwords", action="store_true",
                        help="drop stopwords from intents before standardizing")
     p_pre.add_argument("--destandardize", action="store_true",
                        help="invert a previous run using its sidecar")
     p_pre.add_argument("--sidecar", default=None, help="standardization sidecar path")
 
-    p_split = sub.add_parser("split", help="deterministic train/valid/test split")
-    add_corpus_args(p_split)
-    p_split.add_argument("--train", type=float, default=0.8)
-    p_split.add_argument("--valid", type=float, default=0.1)
-    p_split.add_argument("--test", type=float, default=0.1)
-    p_split.add_argument("--seed", type=int, default=0)
     return parser
 
 

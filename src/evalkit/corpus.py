@@ -111,9 +111,11 @@ def _sample_from_record(record: Mapping, where: str) -> Sample:
 
 def open_utf8(path, newline: str | None = None) -> io.StringIO:
     """The text of a UTF-8 file as a stream, as `open(path, encoding="utf-8",
-    newline=newline)` reads it, except that a byte sequence that is not UTF-8
-    raises DataError naming the path and line."""
-    data = Path(path).read_bytes()
+    newline=newline)` reads it, except that a leading byte-order mark is
+    dropped and a byte sequence that is not UTF-8 raises DataError naming the
+    path and line."""
+    # not the utf-8-sig codec: its error offsets do not count the mark
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         return io.StringIO(data.decode("utf-8"), newline=newline)
     except UnicodeDecodeError as exc:
@@ -140,13 +142,16 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     elif format == "csv":
         with open_utf8(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataError(f"{path}:1: empty CSV file")
-            missing = set(_REQUIRED) - set(reader.fieldnames)
-            if missing:
-                raise DataError(f"{path}:1: missing columns: {', '.join(sorted(missing))}")
-            for rownum, row in enumerate(reader, 2):
-                samples.append(_sample_from_record(row, f"{path}:row {rownum}"))
+            try:
+                if reader.fieldnames is None:
+                    raise DataError(f"{path}:1: empty CSV file")
+                missing = set(_REQUIRED) - set(reader.fieldnames)
+                if missing:
+                    raise DataError(f"{path}:1: missing columns: {', '.join(sorted(missing))}")
+                for rownum, row in enumerate(reader, 2):
+                    samples.append(_sample_from_record(row, f"{path}:row {rownum}"))
+            except csv.Error as exc:  # such as a field over csv.field_size_limit()
+                raise DataError(f"{path}:{reader.reader.line_num}: {exc}") from None
     else:
         raise DataError(f"unknown corpus format {format!r} (expected jsonl or csv)")
     return Corpus(tuple(samples), provenance={"source": str(path), "format": format})
@@ -166,70 +171,6 @@ def write_corpus(corpus: Corpus, path) -> None:
             if record["sc"] is None:
                 del record["sc"]
             fh.write(_to_json(record) + "\n")
-
-
-def _as_fraction(value) -> Fraction:
-    from fractions import Fraction  # split alone needs it, and it loads decimal
-
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
-
-
-class SplitSpec(Record):
-    """Train/valid/test fractions (must sum to exactly 1) plus a shuffle seed;
-    each fraction is stored as a Fraction, a float by its shortest repr."""
-
-    _fields = ("train_frac", "valid_frac", "test_frac", "seed")
-
-    def __init__(self, train_frac, valid_frac, test_frac, seed: int = 0) -> None:
-        fracs = (_as_fraction(train_frac), _as_fraction(valid_frac), _as_fraction(test_frac))
-        if any(f < 0 for f in fracs):
-            raise DataError("split fractions must be nonnegative")
-        if sum(fracs) != 1:
-            raise DataError(f"split fractions sum to {sum(fracs)}, expected exactly 1")
-        self.__dict__.update(
-            train_frac=fracs[0], valid_frac=fracs[1], test_frac=fracs[2], seed=seed
-        )
-
-
-def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
-    """Deterministic shuffle-split into train/valid/test.
-
-    Sizes are floor-rounded from the fractions; remainder rows go to train.
-    A nonzero fraction that floors to zero samples is an error.
-    """
-    n = len(corpus)
-    if n < 3:
-        raise DataError(f"corpus of size {n} is too small to split")
-    n_valid = int(n * spec.valid_frac)
-    n_test = int(n * spec.test_frac)
-    n_train = n - n_valid - n_test
-    for name, frac, size in (
-        ("train", spec.train_frac, n_train),
-        ("valid", spec.valid_frac, n_valid),
-        ("test", spec.test_frac, n_test),
-    ):
-        if frac > 0 and size == 0:
-            raise DataError(f"corpus too small: {name} fraction {frac} yields no samples")
-    import random
-
-    indices = list(range(n))
-    random.Random(spec.seed).shuffle(indices)
-    buckets = (
-        indices[:n_train],
-        indices[n_train : n_train + n_valid],
-        indices[n_train + n_valid :],
-    )
-    parts = []
-    for name, bucket in zip(("train", "valid", "test"), buckets):
-        provenance = dict(corpus.provenance)
-        provenance["split"] = name
-        provenance["seed"] = str(spec.seed)
-        # keep original corpus order inside each split
-        samples = tuple(corpus.samples[i] for i in sorted(bucket))
-        parts.append(Corpus(samples, provenance))
-    return parts[0], parts[1], parts[2]
 
 
 # A field that csv writes as it is, whatever the Python version.
@@ -277,26 +218,28 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}:1: empty results file") from None
-        if not header or header[0] != "id":
-            raise DataError(f"{path}:1: malformed results header")
-        for k, column in enumerate(header):
-            if column in header[:k]:
-                raise DataError(f"{path}:1: column {column!r} appears twice in the header")
-        metrics = header[1:]
-        for lineno, row in enumerate(reader, 2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} columns")
-            try:
-                vector = {m: float(v) for m, v in zip(metrics, row[1:])}
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad score: {exc}") from None
-            for m, value in vector.items():
-                if not 0.0 <= value <= 1.0:  # also rejects nan
-                    raise DataError(f"{path}:{lineno}: score {m} = {value} is not in [0, 1]")
-            rows.append((row[0], vector))
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}:1: empty results file")
+            if not header or header[0] != "id":
+                raise DataError(f"{path}:1: malformed results header")
+            for k, column in enumerate(header):
+                if column in header[:k]:
+                    raise DataError(f"{path}:1: column {column!r} appears twice in the header")
+            metrics = header[1:]
+            for lineno, row in enumerate(reader, 2):
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected {len(header)} columns")
+                try:
+                    vector = {m: float(v) for m, v in zip(metrics, row[1:])}
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad score: {exc}") from None
+                for m, value in vector.items():
+                    if not 0.0 <= value <= 1.0:  # also rejects nan
+                        raise DataError(f"{path}:{lineno}: score {m} = {value} is not in [0, 1]")
+                rows.append((row[0], vector))
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     seen: set[str] = set()
     for sample_id, _ in rows:
         if sample_id in seen:

@@ -31,6 +31,17 @@ def write_corpus_file(tmp_path, records, name="corpus.jsonl"):
     return path
 
 
+def corpus_text(name, records) -> str:
+    """`records` as the text of a corpus file whose suffix is `name`'s."""
+    if name.endswith(".csv"):
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+        return buf.getvalue()
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
 GOOD = [
     {"id": "a", "intent": "i1", "reference": "mov eax, 1", "prediction": "mov eax, 1",
      "sc": 1, "language": "assembly"},
@@ -59,19 +70,25 @@ class TestEval:
 
     @pytest.mark.parametrize("name, bad_line", [("corpus.jsonl", 2), ("corpus.csv", 3)])
     def test_non_utf8_corpus_exits_2_naming_line(self, tmp_path, capsys, name, bad_line):
-        if name.endswith(".csv"):
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=list(GOOD[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(GOOD)
-            text = buf.getvalue()
-        else:
-            text = "".join(json.dumps(r) + "\n" for r in GOOD)
         corpus = tmp_path / name
+        text = corpus_text(name, GOOD)
         corpus.write_bytes(text.encode("utf-8").replace(b"mov ebx, 2", b"mov ebx, \xff2"))
         assert run("eval", "--corpus", corpus, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert f"{corpus}:{bad_line}:" in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("name", ["corpus.jsonl", "corpus.csv"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys, name):
+        # as a spreadsheet program writes a file saved as "CSV UTF-8"
+        data = corpus_text(name, GOOD).encode("utf-8")
+        for run_dir, prefix in ((tmp_path / "plain", b""), (tmp_path / "bom", b"\xef\xbb\xbf")):
+            run_dir.mkdir()
+            (run_dir / name).write_bytes(prefix + data)
+            assert run("eval", "--corpus", run_dir / name, "--out", run_dir / "out") == 0
+        for output in ("results.csv", "run_config.json"):
+            plain = (tmp_path / "plain" / "out" / output).read_bytes()
+            assert (tmp_path / "bom" / "out" / output).read_bytes() == plain
+        assert capsys.readouterr().err == ""
 
     def test_rerun_is_byte_identical(self, tmp_path):
         corpus = write_corpus_file(tmp_path, GOOD)
@@ -201,6 +218,10 @@ class TestEval:
     @pytest.mark.parametrize("checker, message", [
         ("bogus", "unknown checker selector 'bogus'"),
         ("cmd:true", "{file}"),
+        ('cmd:echo "{file}', """template 'echo "{file}': No closing quotation"""),
+        ("cmd:echo {x} {file}", "no other replacement field, got 'echo {x} {file}'"),
+        ("cmd:echo {} {file}", "no other replacement field, got 'echo {} {file}'"),
+        ("cmd:echo {{file}}", "no other replacement field, got 'echo {{file}}'"),
     ])
     def test_bad_checker_option_exits_1_on_an_empty_corpus(self, tmp_path, capsys, checker, message):
         corpus = write_corpus_file(tmp_path, [])
@@ -290,8 +311,10 @@ class TestEval:
         ("corpus.csv", "", 1, "empty CSV file"),
         ("corpus.csv", "id,intent,reference,prediction,sc\na,i,r,p,1\n", 1,
          "missing columns: language"),
+        ("corpus.csv", 'id,intent,reference,prediction,sc,language\na,"%s",r,p,1,other\n'
+         % ("x" * (2**17 + 1)), 2, "field larger than field limit"),
     ], ids=["jsonl-parse-error", "jsonl-not-an-object", "jsonl-invalid-sc", "jsonl-infinite-sc",
-            "csv-empty", "csv-missing-column"])
+            "csv-empty", "csv-missing-column", "csv-field-over-the-limit"])
     def test_bad_corpus_exits_2_naming_file_and_line(self, tmp_path, capsys, name, text, line,
                                                      message):
         corpus = tmp_path / name
@@ -327,6 +350,16 @@ class TestAnalyze:
         code = run("analyze", "--corpus", corpus, "--results", out / "results.csv",
                    "--out", out / "analysis", "--partition", partition)
         return code, out / "analysis"
+
+    def test_results_file_with_a_byte_order_mark(self, tmp_path):
+        code, plain = self._eval_then_analyze(tmp_path, GOOD)
+        assert code == 0
+        results = tmp_path / "bom.csv"
+        results.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "out" / "results.csv").read_bytes())
+        assert run("analyze", "--corpus", tmp_path / "corpus.jsonl", "--results", results,
+                   "--out", tmp_path / "bom") == 0
+        for path in sorted(plain.iterdir()):
+            assert (tmp_path / "bom" / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_identity_corpus_offsets(self, tmp_path):
         records = [dict(GOOD[0], id=f"s{i}") for i in range(3)]
@@ -384,7 +417,9 @@ class TestAnalyze:
         ("", 1, "empty results file"),
         ("ID,EM\na,1.000000\n", 1, "malformed results header"),
         ("id,EM,ED\na,1.000000,1.000000\nb,1.000000\n", 3, "expected 3 columns"),
-    ], ids=["empty", "header", "column-count"])
+        ('id,EM\n"%s",1.000000\n' % ("x" * (2**17 + 1)), 2,
+         "field larger than field limit (131072)"),
+    ], ids=["empty", "header", "column-count", "field-over-the-limit"])
     def test_malformed_results_exit_2_naming_file_and_line(self, tmp_path, capsys, text, line,
                                                            message):
         corpus = write_corpus_file(tmp_path, GOOD)
@@ -550,21 +585,19 @@ class TestPreprocess:
         assert run("preprocess", "--corpus", corpus, "--out", tmp_path / "o",
                    "--rules", rules) == 1
 
-    def test_stopword_filtering_via_env(self, tmp_path, monkeypatch):
+    def test_stopword_filtering_with_a_stopword_file(self, tmp_path):
         stop = tmp_path / "stop.txt"
         stop.write_text("the\nto\n")
-        monkeypatch.setenv("EVALKIT_STOPWORDS", str(stop))
         records = [{"id": "a", "intent": "jump to the label", "reference": "r",
                     "prediction": "p", "language": "assembly"}]
         corpus = write_corpus_file(tmp_path, records)
         out = tmp_path / "o"
-        assert run("preprocess", "--corpus", corpus, "--out", out, "--filter-stopwords") == 0
+        assert run("preprocess", "--corpus", corpus, "--out", out, "--filter-stopwords",
+                   "--stopwords", stop) == 0
         got = json.loads((out / "corpus.jsonl").read_text().splitlines()[0])
         assert got["intent"] == "jump label"
 
-
-    def test_stopword_filtering_with_the_built_in_list(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("EVALKIT_STOPWORDS", raising=False)
+    def test_stopword_filtering_with_the_built_in_list(self, tmp_path):
         records = [{"id": "a", "intent": "Jump to the label at 0x10 then return",
                     "reference": "r", "prediction": "p", "language": "assembly"}]
         corpus = write_corpus_file(tmp_path, records)
@@ -574,32 +607,18 @@ class TestPreprocess:
         assert got["intent"] == "Jump label var0 return"
 
 
-class TestSplit:
-    def test_split_files_written(self, tmp_path):
-        records = [dict(GOOD[0], id=f"s{i}") for i in range(10)]
-        corpus = write_corpus_file(tmp_path, records)
-        out = tmp_path / "splits"
-        assert run("split", "--corpus", corpus, "--out", out, "--seed", 7) == 0
-        sizes = [len((out / f"{n}.jsonl").read_text().splitlines())
-                 for n in ("train", "valid", "test")]
-        assert sizes == [8, 1, 1]
-
-    def test_same_seed_identical_files(self, tmp_path):
-        records = [dict(GOOD[0], id=f"s{i}") for i in range(20)]
-        corpus = write_corpus_file(tmp_path, records)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run("split", "--corpus", corpus, "--out", out1, "--seed", 3) == 0
-        assert run("split", "--corpus", corpus, "--out", out2, "--seed", 3) == 0
-        for name in ("train", "valid", "test"):
-            assert (out1 / f"{name}.jsonl").read_bytes() == (out2 / f"{name}.jsonl").read_bytes()
-
-
 class TestExitCodes:
     def test_usage_error_is_config_error(self, capsys):
         assert run("eval") == 1  # missing required flags
 
     def test_unknown_command_is_config_error(self):
         assert run("frobnicate") == 1
+
+    def test_split_is_not_a_command(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        assert run("split", "--corpus", corpus, "--out", tmp_path / "splits") == 1
+        assert "invalid choice: 'split'" in capsys.readouterr().err
+        assert not (tmp_path / "splits").exists()
 
     def test_missing_corpus_file_exits_config(self, tmp_path):
         assert run("eval", "--corpus", tmp_path / "none.jsonl", "--out", tmp_path / "o") == 1

@@ -4,10 +4,8 @@ import csv
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from evalkit import CANONICAL_METRICS, Corpus, DataError, Sample, SplitSpec, split_corpus
+from evalkit import CANONICAL_METRICS, Corpus, DataError, Sample
 from evalkit.corpus import load_corpus, load_results, write_corpus, write_results
 
 from conftest import make_sample, random_corpus
@@ -58,6 +56,12 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match=r":1|:2"):
             load_corpus(path, "jsonl")
 
+    def test_byte_order_mark_leaves_line_numbers_as_they_are(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(GOOD[0]).encode() + b"\n{\"id\": \"\xff\"}\n")
+        with pytest.raises(DataError, match=r"c\.jsonl:2: not valid UTF-8"):
+            load_corpus(path, "jsonl")
+
     def test_csv_round_trip_with_embedded_newline(self, tmp_path):
         # evalkit writes only jsonl; the csv module writes this as a
         # spreadsheet exports it, quoting the newline, comma and quotes
@@ -93,67 +97,6 @@ class TestLoadCorpus:
     def test_empty_id_rejected(self):
         with pytest.raises(DataError):
             make_sample(0, id="")
-
-
-class TestSplit:
-    def test_sizes_floor_with_remainder_to_train(self):
-        corpus = random_corpus(10, seed=7)
-        train, valid, test = split_corpus(corpus, SplitSpec(0.8, 0.1, 0.1, seed=7))
-        assert (len(train), len(valid), len(test)) == (8, 1, 1)
-
-    def test_same_seed_same_split(self):
-        corpus = random_corpus(50, seed=1)
-        spec = SplitSpec(0.8, 0.1, 0.1, seed=7)
-        first = [tuple(s.id for s in part) for part in split_corpus(corpus, spec)]
-        second = [tuple(s.id for s in part) for part in split_corpus(corpus, spec)]
-        assert first == second
-
-    def test_different_seed_usually_differs(self):
-        corpus = random_corpus(50, seed=1)
-        a = split_corpus(corpus, SplitSpec(0.8, 0.1, 0.1, seed=1))
-        b = split_corpus(corpus, SplitSpec(0.8, 0.1, 0.1, seed=2))
-        assert [s.id for s in a[1]] != [s.id for s in b[1]]
-
-    def test_partition_exhaustive_and_disjoint(self):
-        corpus = random_corpus(100, seed=3)
-        parts = split_corpus(corpus, SplitSpec(0.8, 0.1, 0.1, seed=11))
-        ids = [set(s.id for s in part) for part in parts]
-        assert ids[0] | ids[1] | ids[2] == {s.id for s in corpus}
-        assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
-
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(min_value=3, max_value=1000), seed=st.integers(0, 2**16))
-    def test_partition_property_random_sizes(self, n, seed):
-        corpus = random_corpus(n, seed=seed % 97)
-        try:
-            parts = split_corpus(corpus, SplitSpec(0.8, 0.1, 0.1, seed=seed))
-        except DataError:
-            assert n < 10  # a nonzero fraction floored to zero samples
-            return
-        sizes = tuple(len(p) for p in parts)
-        assert sum(sizes) == n
-        all_ids = [s.id for part in parts for s in part]
-        assert len(all_ids) == len(set(all_ids))
-
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(DataError):
-            SplitSpec(0.8, 0.1, 0.2)
-
-    def test_float_fractions_sum_exactly(self):
-        # 0.8 + 0.1 + 0.1 != 1.0 in binary floats; rational handling must cope
-        SplitSpec(0.8, 0.1, 0.1)
-
-    def test_negative_fraction_rejected(self):
-        with pytest.raises(DataError):
-            SplitSpec(1.2, -0.1, -0.1)
-
-    def test_too_small_corpus(self):
-        with pytest.raises(DataError):
-            split_corpus(random_corpus(2), SplitSpec(0.8, 0.1, 0.1))
-
-    def test_nonzero_fraction_yielding_zero_errors(self):
-        with pytest.raises(DataError, match="too small"):
-            split_corpus(random_corpus(5), SplitSpec(0.8, 0.1, 0.1))
 
 
 def _vector(seed: float) -> dict[str, float]:

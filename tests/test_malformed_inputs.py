@@ -1,0 +1,116 @@
+"""Every bad input ends in a documented exit code, never a traceback.
+
+Small valid input files get bytes inserted, deleted or cut off, or go
+missing, and `eval`, `analyze` or `preprocess` runs on them through `main`,
+in-process. The `--checker` values are the builtin ones and malformed `cmd:`
+templates, which are rejected before a command starts, so no process runs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evalkit.cli import main
+from evalkit.metrics import CANONICAL_METRICS
+
+RECORDS = [
+    {"id": "a", "intent": "move 0x10 into eax", "reference": "mov eax, 0x10",
+     "prediction": "mov eax, 16", "sc": 1, "language": "assembly"},
+    {"id": "b", "intent": "if the 'count' is 2", "reference": "if count == 2:",
+     "prediction": "if count = 2", "sc": 0, "language": "python-like"},
+    {"id": "c", "intent": "return", "reference": "ret", "prediction": "ret", "language": "other"},
+]
+
+
+def _csv_line(values) -> str:
+    return ",".join('"%s"' % str(v).replace('"', '""') for v in values) + "\n"
+
+
+FILES = {
+    "corpus.jsonl": "".join(json.dumps(r) + "\n" for r in RECORDS),
+    "corpus.csv": _csv_line(RECORDS[0]) + "".join(
+        _csv_line(r.get(k, "") for k in RECORDS[0]) for r in RECORDS
+    ),
+    "results.csv": ",".join(["id", *CANONICAL_METRICS]) + "\n" + "".join(
+        ",".join([r["id"], *(f"{k / 40:.6f}" for k in range(len(CANONICAL_METRICS)))]) + "\n"
+        for r in RECORDS
+    ),
+    "metrics.json": json.dumps({
+        "metrics": ["CA", "BLEU-4", "METEOR", "ED"], "checker": "auto",
+        "bleu": {"smoothing": "epsilon", "epsilon": 0.1},
+        "meteor": {"alpha": 0.9, "beta": 3, "gamma": 0.5},
+        "tokenizers": {"assembly": {"mode": "code-punct", "newline_is_token": True}},
+    }),
+    "rules.txt": "# name=regex\nhex=0[xX][0-9a-fA-F]+\nquoted='[^']*'\nreg=\\b(?:eax|ebx)\\b\n",
+    "stopwords.txt": "the\nis\ninto\n",
+    "maps.jsonl": '{"id": "a", "map": {"var0": "0x10", "var1": "eax"}}\n'
+                  '{"id": "b", "map": {"var0": "\'count\'"}}\n',
+}
+INSERTS = [b"\xef\xbb\xbf", b"NaN", b"Infinity", b"1e400", b'"', b"'", b"\x00", b"\xff", b"\xc3"]
+# each is rejected when the configuration is built, before any check runs
+BAD_TEMPLATES = ['cmd:echo "{file}', "cmd:echo {x} {file}", "cmd:echo {} {file}",
+                 "cmd:echo {{file}}"]
+
+at = st.integers(0, 1000)
+edits = st.lists(st.one_of(
+    st.tuples(st.just("insert"), at, st.sampled_from(INSERTS)),
+    st.tuples(st.just("delete"), at, st.integers(1, 12)),
+    st.tuples(st.just("truncate"), at, st.just(None)),
+), max_size=3)
+
+
+def mutate(data: bytes, changes) -> bytes:
+    for kind, position, arg in changes:
+        position %= len(data) + 1
+        if kind == "insert":
+            data = data[:position] + arg + data[position:]
+        elif kind == "delete":
+            data = data[:position] + data[position + arg:]
+        else:
+            data = data[:position]
+    return data
+
+
+def optional(draw, *flags: str) -> list[str]:
+    return list(flags) if draw(st.booleans()) else []
+
+
+@st.composite
+def commands(draw) -> list[str]:
+    """An argv naming the files of FILES and an `out` directory."""
+    corpus = ["--corpus", draw(st.sampled_from(["corpus.jsonl", "corpus.csv"])), "--out", "out"]
+    command = draw(st.sampled_from(["eval", "analyze", "preprocess"]))
+    if command == "eval":
+        checker = draw(st.sampled_from(["none", "auto", *BAD_TEMPLATES]))
+        return ["eval", *corpus, *optional(draw, "--metrics-config", "metrics.json"),
+                "--checker", checker, "--jobs", draw(st.sampled_from(["1", "2"]))]
+    if command == "analyze":
+        partition = draw(st.sampled_from(["all", "whole", "correct", "wrong"]))
+        return ["analyze", *corpus, "--results", "results.csv", "--partition", partition]
+    if draw(st.booleans()):
+        return ["preprocess", *corpus, "--destandardize", "--sidecar", "maps.jsonl"]
+    return ["preprocess", *corpus, *optional(draw, "--rules", "rules.txt"),
+            *optional(draw, "--filter-stopwords", *optional(draw, "--stopwords", "stopwords.txt"))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=commands(), changes=st.fixed_dictionaries({name: edits for name in FILES}),
+       missing=st.sets(st.sampled_from(sorted(FILES)), max_size=1))
+def test_malformed_inputs_exit_with_a_code_not_a_traceback(argv, changes, missing):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in FILES.items():
+            if name not in missing:
+                (root / name).write_bytes(mutate(text.encode("utf-8"), changes[name]))
+        args = [str(root / arg) if arg in FILES or arg == "out" else arg for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(args)
+        assert code in (0, 1, 2, 3), (code, err.getvalue())

@@ -19,8 +19,8 @@ from conftest import DATA_DIR
 SRC = str(Path(evalkit.__file__).resolve().parent.parent)
 
 # Modules that `eval` with a builtin checker never uses: dataclasses (and the
-# inspect it loads), what the external checker, split and destandardize's
-# warning use, and typing.
+# inspect it loads), what the external checker and destandardize's warning
+# use, fractions and random (with the decimal that fractions loads), and typing.
 NOT_AT_IMPORT = (
     "dataclasses", "inspect", "subprocess", "tempfile", "signal", "shlex", "logging",
     "fractions", "decimal", "random", "typing",

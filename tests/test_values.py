@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -23,7 +22,6 @@ from evalkit import (
     OffsetRow,
     Partition,
     Sample,
-    SplitSpec,
     StandardizationMap,
     StopwordList,
     SyntaxChecker,
@@ -74,18 +72,6 @@ VALUES = {
         lambda: Corpus(()),
         lambda: Corpus((), {"split": "test"}),
         "Corpus(samples=(), provenance={})",
-    ),
-    "SplitSpec": (
-        lambda: SplitSpec(0.8, 0.1, 0.1, seed=3),
-        lambda: SplitSpec(0.8, 0.1, 0.1),
-        "SplitSpec(train_frac=Fraction(4, 5), valid_frac=Fraction(1, 10), "
-        "test_frac=Fraction(1, 10), seed=3)",
-    ),
-    "SplitSpec-fractions": (
-        lambda: SplitSpec(Fraction(1, 2), "1/4", 0.25),
-        lambda: SplitSpec(0.25, 0.25, 0.5),
-        "SplitSpec(train_frac=Fraction(1, 2), valid_frac=Fraction(1, 4), "
-        "test_frac=Fraction(1, 4), seed=0)",
     ),
     "CheckResult": (
         lambda: CheckResult(False, "line 1: bad"),
@@ -290,14 +276,23 @@ BAD_ARGUMENTS = [
     (lambda: Corpus(), TypeError, "missing 1 required positional argument: 'samples'"),
     (lambda: Corpus((Sample("a", "", "", ""), Sample("a", "", "", ""))), DataError,
      "duplicate sample id 'a'"),
-    (lambda: SplitSpec(0.5, 0.1, 0.1), DataError, "split fractions sum to 7/10, expected exactly 1"),
-    (lambda: SplitSpec(1.2, -0.1, -0.1), DataError, "split fractions must be nonnegative"),
-    (lambda: SplitSpec("x", 0, 0), ValueError, "Invalid literal for Fraction: 'x'"),
-    (lambda: SplitSpec(None, 0, 0), TypeError, "argument should be a string or a Rational instance"),
     (lambda: CheckResult(), TypeError, "missing 1 required positional argument: 'accepted'"),
     (lambda: SyntaxChecker("n", "bogus"), ConfigError, "unknown checker kind 'bogus'"),
     (lambda: SyntaxChecker("n", "external-command", "as"), ConfigError,
      "external checker needs a command template with {file}"),
+    (lambda: SyntaxChecker("n", "external-command", 'echo "{file}'), ConfigError,
+     """external checker template 'echo "{file}': No closing quotation"""),
+    (lambda: SyntaxChecker("n", "external-command", "echo {file"), ConfigError,
+     "external checker template 'echo {file': expected '}' before end of string"),
+    (lambda: SyntaxChecker("n", "external-command", "echo {x} {file}"), ConfigError,
+     "no other replacement field, got 'echo {x} {file}'"),
+    (lambda: SyntaxChecker("n", "external-command", "echo {} {file}"), ConfigError,
+     "no other replacement field, got 'echo {} {file}'"),
+    (lambda: SyntaxChecker("n", "external-command", "echo {{file}}"), ConfigError,
+     "external checker needs a command template with {file} and no other replacement field, "
+     "got 'echo {{file}}'"),
+    (lambda: SyntaxChecker("n", "external-command", None), ConfigError,
+     "external checker template must be a string, got None"),
     (lambda: SyntaxChecker("n", "external-command", "as {file}", float("nan")), ConfigError,
      "external checker needs a finite timeout > 0 seconds, got nan"),
     (lambda: SyntaxChecker("n", "external-command", "as {file}", True), ConfigError,
