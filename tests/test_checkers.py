@@ -183,6 +183,18 @@ class TestExternal:
         assert result.diagnostic == "checker timed out after 0.5s"
         assert _gone(int(pidfile.read_text()))
 
+    @pytest.mark.parametrize("template", [
+        """sh -c 'test -s "$1"' sh {file}""",
+        'sh -c \'test -s "$1"\' sh "{file}"',
+        """sh -c 'test "$1" = "$2"' sh {file} {file}""",
+        """sh -c 'case "$1" in --in=/*) test -s "${{1#--in=}}";; *) exit 1;; esac' sh --in={file}""",
+    ], ids=["bare", "quoted", "twice", "inside-an-argument"])
+    def test_template_with_only_file_fields_gets_the_snippet_file(self, template):
+        # doubled braces are literal ones, as str.format reads them
+        checker = SyntaxChecker(name="sh", kind="external-command", command=template, timeout=5)
+        result = checker.check("snippet")
+        assert result.accepted, result.diagnostic
+
     def test_missing_binary_raises_checker_error(self):
         checker = SyntaxChecker(
             name="ghost", kind="external-command",

@@ -200,11 +200,12 @@ class TestEval:
         ('{"tokenizers": {"asembly": {"lowercase": true}}}', "tokenizers.asembly"),
         ('{"checker": "bogus"}', "unknown checker selector 'bogus'"),
         ('{"checker": "cmd:true"}', "{file}"),
+        ('{"checker": "cmd:echo {x} {file}"}', "no other replacement field"),
         ('{"meteor_tokenizer": {"case": "lower"}}', "unknown meteor_tokenizer option(s): case"),
         ('{"metrics": ["EM",]}', "invalid JSON"),
     ], ids=["top-level", "metrics", "bleu", "tokenizer", "meteor-alpha", "checker",
             "lowercase-string", "nan-beta", "tokenizer-language-typo", "checker-selector",
-            "cmd-without-file", "meteor-tokenizer-key", "invalid-json"])
+            "cmd-without-file", "cmd-with-another-field", "meteor-tokenizer-key", "invalid-json"])
     def test_config_value_of_wrong_type_exits_1(self, tmp_path, capsys, payload, key):
         corpus = write_corpus_file(tmp_path, GOOD)
         cfg = tmp_path / "m.json"
@@ -222,6 +223,9 @@ class TestEval:
         ("cmd:echo {x} {file}", "no other replacement field, got 'echo {x} {file}'"),
         ("cmd:echo {} {file}", "no other replacement field, got 'echo {} {file}'"),
         ("cmd:echo {{file}}", "no other replacement field, got 'echo {{file}}'"),
+        ("cmd:echo {file:d}", "no other replacement field, got 'echo {file:d}'"),
+        ("cmd:echo {file!r}", "no other replacement field, got 'echo {file!r}'"),
+        ("cmd:echo {file.x}", "no other replacement field, got 'echo {file.x}'"),
     ])
     def test_bad_checker_option_exits_1_on_an_empty_corpus(self, tmp_path, capsys, checker, message):
         corpus = write_corpus_file(tmp_path, [])
@@ -606,6 +610,13 @@ class TestPreprocess:
         got = json.loads((out / "corpus.jsonl").read_text().splitlines()[0])
         assert got["intent"] == "Jump label var0 return"
 
+    def test_stopwords_environment_variable_is_not_read(self, tmp_path, monkeypatch):
+        # only --stopwords names a stopword file
+        stop = tmp_path / "stop.txt"
+        stop.write_text("jump\nlabel\n")
+        monkeypatch.setenv("EVALKIT_STOPWORDS", str(stop))
+        self.test_stopword_filtering_with_the_built_in_list(tmp_path)
+
 
 class TestExitCodes:
     def test_usage_error_is_config_error(self, capsys):
@@ -651,6 +662,29 @@ class TestExitCodes:
         assert run(command, "--corpus", corpus, "--out", tmp_path / "o", *flags, config) == 1
         err = capsys.readouterr().err
         assert f"{config}:2:" in err and "UTF-8" in err
+
+
+    @pytest.mark.parametrize("command, flags, text", [
+        ("eval", ["--metrics-config"], '{"metrics": ["EM", "ED"]}\n'),
+        ("preprocess", ["--rules"], "# rules\nhex=0x[0-9a-f]+\n"),
+        ("preprocess", ["--filter-stopwords", "--stopwords"], "the\nto\n"),
+        ("preprocess", ["--destandardize", "--sidecar"], '{"id": "a", "map": {"var0": "eax"}}\n'),
+    ], ids=["metrics-config", "rules", "stopwords", "sidecar"])
+    def test_leading_byte_order_mark_in_a_config_file_is_ignored(self, tmp_path, capsys, command,
+                                                                 flags, text):
+        # each file's first line would read otherwise with a BOM in front
+        records = [dict(GOOD[0], intent="mov var0 to the 0x1f"), *GOOD[1:]]
+        corpus = write_corpus_file(tmp_path, records)
+        for run_dir, prefix in ((tmp_path / "plain", b""), (tmp_path / "bom", b"\xef\xbb\xbf")):
+            run_dir.mkdir()
+            (run_dir / "config").write_bytes(prefix + text.encode("utf-8"))
+            assert run(command, "--corpus", corpus, "--out", run_dir / "out", *flags,
+                       run_dir / "config") == 0
+        plain = sorted((tmp_path / "plain" / "out").iterdir())
+        assert [path.name for path in plain] == sorted(os.listdir(tmp_path / "bom" / "out"))
+        for path in plain:
+            assert (tmp_path / "bom" / "out" / path.name).read_bytes() == path.read_bytes(), path.name
+        assert capsys.readouterr().err == ""
 
 
 class TestRepeatedMain:
