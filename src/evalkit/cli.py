@@ -22,6 +22,7 @@ import shutil  # noqa: F401
 from . import __version__
 from .corpus import (
     Corpus,
+    _json_lines,
     _to_json,
     load_corpus,
     load_results,
@@ -62,12 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _corpus_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
-
-
 def _object(value, where: str) -> dict:
     """`value` if it is a JSON object, else a ConfigError naming `where`."""
     if not isinstance(value, dict):
@@ -89,7 +84,7 @@ def _record(cls, obj, where: str):
 
 def _config_kwargs(obj) -> dict:
     """MetricConfig keyword arguments from a parsed metrics config file."""
-    allowed = {"metrics", "tokenizers", "meteor_tokenizer", "bleu", "meteor", "checker"}
+    allowed = {"metrics", "tokenizers", "meteor_tokenizer", "bleu", "meteor"}
     unknown = set(_object(obj, "the top level")) - allowed
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -110,24 +105,23 @@ def _config_kwargs(obj) -> dict:
         bad = set(bleu) - {"smoothing", "epsilon"}
         if bad:
             raise ConfigError(f"unknown bleu option(s): {', '.join(sorted(bad))}")
-        kwargs["bleu_smoothing"] = bleu.get("smoothing", "none")
+        smoothing = kwargs["bleu_smoothing"] = bleu.get("smoothing", "none")
+        if "epsilon" in bleu and smoothing != "epsilon":  # it would change no score
+            raise ConfigError(f'bleu epsilon needs "smoothing": "epsilon", got {json.dumps(smoothing)}')
         kwargs["bleu_epsilon"] = bleu.get("epsilon", DEFAULT_BLEU_EPSILON)
     if "meteor" in obj:
         kwargs["meteor_params"] = _record(MeteorParams, obj["meteor"], "meteor")
-    if "checker" in obj:
-        if not isinstance(obj["checker"], str):
-            raise ConfigError(f"checker must be a string, got {json.dumps(obj['checker'])}")
-        kwargs["checker"] = obj["checker"]
     return kwargs
 
 
 def load_metric_config(path: str | None, checker: str | None = None) -> MetricConfig:
-    """Build a MetricConfig from a JSON file plus an optional checker override.
+    """Build a MetricConfig from a JSON file and a checker selector (None
+    meaning auto).
 
     A problem with the file's contents raises ConfigError naming the file.
     """
-    override = {} if checker is None else {"checker": checker}
-    cfg = MetricConfig(**override)  # so a bad --checker is not reported as the file's
+    checker = "auto" if checker is None else checker
+    cfg = MetricConfig(checker=checker)  # so a bad --checker is not reported as the file's
     if path is None:
         return cfg
     try:
@@ -140,7 +134,7 @@ def load_metric_config(path: str | None, checker: str | None = None) -> MetricCo
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     try:
-        return MetricConfig(**{**_config_kwargs(obj), **override})
+        return MetricConfig(**_config_kwargs(obj), checker=checker)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -169,7 +163,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    corpus = load_corpus(args.corpus, _corpus_format(args.corpus, args.format))
+    corpus = load_corpus(args.corpus)
     cfg = load_metric_config(args.metrics_config, args.checker)
     rows = evaluate_corpus(corpus, cfg, jobs=args.jobs)
     out = Path(args.out)
@@ -189,17 +183,15 @@ def cmd_analyze(args) -> int:
         render_sc_marker,
     )
 
-    corpus = load_corpus(args.corpus, _corpus_format(args.corpus, args.format))
+    corpus = load_corpus(args.corpus)
     results = load_results(args.results)
     if results and not set(CANONICAL_METRICS).intersection(results[0][1]):
         raise DataError(f"{args.results}:1: no metric column (expected any of {', '.join(CANONICAL_METRICS)})")
     report = build_report(corpus, dict(results))
-    wanted = tuple(report.offset_rows) if args.partition == "all" else (args.partition,)
-    offset_rows = {k: report.offset_rows[k] for k in wanted}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for fmt in ("txt", "csv", "md"):
-        _write_text(out / f"offsets.{fmt}", render_offset_table(offset_rows, fmt))
+        _write_text(out / f"offsets.{fmt}", render_offset_table(report.offset_rows, fmt))
         _write_text(out / f"correlation.{fmt}", render_correlation_table(report.correlation_rows, fmt))
     _write_text(out / "boxplot.csv", render_boxplot_data(report.per_metric_means))
     _write_text(out / "sc_marker.csv", render_sc_marker(report.sc_marker))
@@ -213,39 +205,25 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _stopword_list(args) -> StopwordList | None:
-    if not args.filter_stopwords:
-        return None
-    return StopwordList.from_file(args.stopwords) if args.stopwords else default_stopwords()
-
-
 def _load_sidecar(path: Path) -> dict[str, StandardizationMap]:
     """Read a standardization sidecar: one {"id": ..., "map": {...}} per line."""
     maps: dict[str, StandardizationMap] = {}
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: JSON parse error: {exc}") from None
-            if not (isinstance(record, dict) and isinstance(record.get("id"), str)
-                    and "map" in record):
-                raise DataError(f"{where}: expected an object with 'id' and 'map'")
-            smap = record["map"]
-            if not isinstance(smap, dict) or not all(isinstance(v, str) for v in smap.values()):
-                raise DataError(f"{where}: 'map' must be an object of placeholder -> literal")
-            try:
-                maps[record["id"]] = StandardizationMap(tuple(smap.items()))
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from None
+    for where, record in _json_lines(path):
+        if not (isinstance(record, dict) and isinstance(record.get("id"), str)
+                and "map" in record):
+            raise DataError(f"{where}: expected an object with 'id' and 'map'")
+        smap = record["map"]
+        if not isinstance(smap, dict) or not all(isinstance(v, str) for v in smap.values()):
+            raise DataError(f"{where}: 'map' must be an object of placeholder -> literal")
+        try:
+            maps[record["id"]] = StandardizationMap(tuple(smap.items()))
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from None
     return maps
 
 
 def cmd_preprocess(args) -> int:
-    corpus = load_corpus(args.corpus, _corpus_format(args.corpus, args.format))
+    corpus = load_corpus(args.corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sidecar_path = Path(args.sidecar) if args.sidecar else out / "standardization_maps.jsonl"
@@ -259,7 +237,9 @@ def cmd_preprocess(args) -> int:
         done, note = "destandardized", ""
     else:
         rules = load_rules(args.rules) if args.rules else default_rules()
-        stopwords = _stopword_list(args)
+        stopwords = args.filter_stopwords  # None: keep them; True: the built-in list
+        if stopwords is not None:
+            stopwords = default_stopwords() if stopwords is True else StopwordList.from_file(stopwords)
         sidecar_path.parent.mkdir(parents=True, exist_ok=True)
         with open(sidecar_path, "w", encoding="utf-8", newline="\n") as side:
             for s in corpus:
@@ -292,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_corpus_args(p):
-        p.add_argument("--corpus", required=True, help="corpus file (jsonl or csv)")
-        p.add_argument("--format", choices=("jsonl", "csv"), default=None,
-                       help="corpus format (default: by file extension)")
+        p.add_argument("--corpus", required=True, help="corpus file (csv if named *.csv, else jsonl)")
         p.add_argument("--out", required=True, help="output directory")
 
     p_eval = sub.add_parser("eval", help="score every sample and write a result table")
@@ -308,16 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="offset, correlation and boxplot reports")
     add_corpus_args(p_an)
     p_an.add_argument("--results", required=True, help="result table written by eval")
-    p_an.add_argument("--partition", choices=("all", "whole", "correct", "wrong"),
-                      default="all", help="which offset partitions to report")
 
     p_pre = sub.add_parser("preprocess", help="standardize intents (or invert with --destandardize)")
     add_corpus_args(p_pre)
     p_pre.add_argument("--rules", default=None, help="entity rules file (name=regex per line)")
-    p_pre.add_argument("--stopwords", default=None,
-                       help="stopword file (default: the built-in list)")
-    p_pre.add_argument("--filter-stopwords", action="store_true",
-                       help="drop stopwords from intents before standardizing")
+    p_pre.add_argument("--filter-stopwords", nargs="?", const=True, default=None, metavar="FILE",
+                       help="drop stopwords from intents before standardizing: "
+                            "those of FILE, or of the built-in list")
     p_pre.add_argument("--destandardize", action="store_true",
                        help="invert a previous run using its sidecar")
     p_pre.add_argument("--sidecar", default=None, help="standardization sidecar path")

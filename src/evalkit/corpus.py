@@ -123,22 +123,43 @@ def open_utf8(path, newline: str | None = None) -> io.StringIO:
         raise DataError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
 
 
-def load_corpus(path, format: str = "jsonl") -> Corpus:
-    """Read a corpus file (one record per sample) in jsonl or csv format."""
+# json.dumps(value, ensure_ascii=False), without building an encoder per call
+_to_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _json_lines(path):
+    """(`path:line`, value) for each nonblank line of a JSON-lines file; a line
+    that does not parse, or a string in it that holds a lone surrogate (which
+    no UTF-8 file can hold, so no output could), raises DataError naming it."""
+    with open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                value = json.loads(line)
+                if "\\u" in line:  # only an escape decodes to a surrogate
+                    _to_json(value).encode("utf-8")
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: JSON parse error: {exc}") from None
+            except UnicodeEncodeError as exc:
+                char = exc.object[exc.start]
+                raise DataError(f"{where}: a string holds the lone surrogate {char!r}") from None
+            yield where, value
+
+
+def load_corpus(path, format: str | None = None) -> Corpus:
+    """Read a corpus file (one record per sample) in jsonl or csv format; by
+    default csv for a `.csv` suffix in any case, else jsonl."""
     path = Path(path)
+    if format is None:
+        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     samples: list[Sample] = []
     if format == "jsonl":
-        with open_utf8(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: JSON parse error: {exc}") from None
-                if not isinstance(record, dict):
-                    raise DataError(f"{path}:{lineno}: expected an object per line")
-                samples.append(_sample_from_record(record, f"{path}:{lineno}"))
+        for where, record in _json_lines(path):
+            if not isinstance(record, dict):
+                raise DataError(f"{where}: expected an object per line")
+            samples.append(_sample_from_record(record, where))
     elif format == "csv":
         with open_utf8(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -155,10 +176,6 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     else:
         raise DataError(f"unknown corpus format {format!r} (expected jsonl or csv)")
     return Corpus(tuple(samples), provenance={"source": str(path), "format": format})
-
-
-# json.dumps(value, ensure_ascii=False), without building an encoder per call
-_to_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_corpus(corpus: Corpus, path) -> None:

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import threading
 
 import pytest
@@ -194,18 +196,17 @@ class TestEval:
         ('{"bleu": 5}', "bleu"),
         ('{"tokenizers": {"assembly": 5}}', "tokenizers.assembly"),
         ('{"meteor": {"alpha": "x"}}', "meteor alpha"),
-        ('{"checker": 5}', "checker"),
+        ('{"checker": 5}', "unknown config key(s): checker"),
         ('{"tokenizers": {"assembly": {"lowercase": "false"}}}', "lowercase"),
         ('{"meteor": {"beta": NaN}}', "meteor beta must be > 0"),
         ('{"tokenizers": {"asembly": {"lowercase": true}}}', "tokenizers.asembly"),
-        ('{"checker": "bogus"}', "unknown checker selector 'bogus'"),
-        ('{"checker": "cmd:true"}', "{file}"),
-        ('{"checker": "cmd:echo {x} {file}"}', "no other replacement field"),
         ('{"meteor_tokenizer": {"case": "lower"}}', "unknown meteor_tokenizer option(s): case"),
         ('{"metrics": ["EM",]}', "invalid JSON"),
+        ('{"bleu": {"epsilon": 0.5}}', 'bleu epsilon needs "smoothing": "epsilon", got "none"'),
+        ('{"bleu": {"smoothing": "none", "epsilon": 0.5}}', 'bleu epsilon needs "smoothing"'),
     ], ids=["top-level", "metrics", "bleu", "tokenizer", "meteor-alpha", "checker",
-            "lowercase-string", "nan-beta", "tokenizer-language-typo", "checker-selector",
-            "cmd-without-file", "cmd-with-another-field", "meteor-tokenizer-key", "invalid-json"])
+            "lowercase-string", "nan-beta", "tokenizer-language-typo", "meteor-tokenizer-key",
+            "invalid-json", "epsilon-without-smoothing", "epsilon-with-no-smoothing"])
     def test_config_value_of_wrong_type_exits_1(self, tmp_path, capsys, payload, key):
         corpus = write_corpus_file(tmp_path, GOOD)
         cfg = tmp_path / "m.json"
@@ -282,9 +283,10 @@ class TestEval:
     def test_metrics_config_applies(self, tmp_path):
         corpus = write_corpus_file(tmp_path, GOOD)
         cfg = tmp_path / "metrics.json"
-        cfg.write_text(json.dumps({"metrics": ["EM", "ED"], "checker": "none"}))
+        cfg.write_text(json.dumps({"metrics": ["EM", "ED"]}))
         out = tmp_path / "out"
-        assert run("eval", "--corpus", corpus, "--out", out, "--metrics-config", cfg) == 0
+        assert run("eval", "--corpus", corpus, "--out", out, "--metrics-config", cfg,
+                   "--checker", "none") == 0
         header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "id,EM,ED"
 
@@ -329,13 +331,15 @@ class TestEval:
         assert err.startswith(f"error: {corpus}:{line}") and message in err
         assert not (tmp_path / "o").exists()
 
-    def test_csv_format_flag_overrides_the_extension(self, tmp_path, capsys):
+    def test_corpus_format_follows_the_suffix_only(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("id,intent,reference,prediction,sc,language\n"
                           "a,i,mov eax,mov eax,1,assembly\nb,i,ret,nop,,assembly\n")
         out = tmp_path / "out"
-        assert run("eval", "--corpus", corpus, "--format", "jsonl", "--out", out) == 2
-        assert run("eval", "--corpus", corpus, "--format", "csv", "--out", out) == 0
+        assert run("eval", "--corpus", corpus, "--out", out) == 2  # read as jsonl
+        assert "JSON parse error" in capsys.readouterr().err
+        corpus = corpus.rename(tmp_path / "corpus.CSV")
+        assert run("eval", "--corpus", corpus, "--out", out) == 0
         rows = (out / "results.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows] == ["id", "a", "b"]
 
@@ -347,12 +351,12 @@ class TestEval:
 
 
 class TestAnalyze:
-    def _eval_then_analyze(self, tmp_path, records, partition="all"):
+    def _eval_then_analyze(self, tmp_path, records):
         corpus = write_corpus_file(tmp_path, records)
         out = tmp_path / "out"
         assert run("eval", "--corpus", corpus, "--out", out) == 0
         code = run("analyze", "--corpus", corpus, "--results", out / "results.csv",
-                   "--out", out / "analysis", "--partition", partition)
+                   "--out", out / "analysis")
         return code, out / "analysis"
 
     def test_results_file_with_a_byte_order_mark(self, tmp_path):
@@ -367,7 +371,7 @@ class TestAnalyze:
 
     def test_identity_corpus_offsets(self, tmp_path):
         records = [dict(GOOD[0], id=f"s{i}") for i in range(3)]
-        code, outdir = self._eval_then_analyze(tmp_path, records, partition="whole")
+        code, outdir = self._eval_then_analyze(tmp_path, records)
         assert code == 0
         offsets = (outdir / "offsets.csv").read_text().splitlines()
         em_row = [line for line in offsets if line.startswith("EM,")][0]
@@ -546,6 +550,33 @@ class TestPreprocess:
         err = capsys.readouterr().err
         assert f"{sidecar}:2:" in err and message in err
 
+    @pytest.mark.parametrize("command, flags, bad, line, escape", [
+        ("eval", [], "corpus.jsonl", 2, "\\ud800"),
+        ("preprocess", [], "corpus.jsonl", 2, "\\ud800"),
+        ("preprocess", ["--destandardize", "--sidecar", "maps.jsonl"], "maps.jsonl", 1, "\\udc00"),
+    ], ids=["eval-corpus", "preprocess-corpus", "destandardize-sidecar"])
+    def test_lone_surrogate_escape_exits_2_naming_line(self, tmp_path, capsys, command, flags,
+                                                       bad, line, escape):
+        # no UTF-8 output can hold U+D800..U+DFFF, so the reader rejects it
+        records = [dict(GOOD[0], intent="mov var0")]
+        if bad == "corpus.jsonl":
+            records.append(dict(GOOD[1], id="b\ud800"))
+        write_corpus_file(tmp_path, records)
+        (tmp_path / "maps.jsonl").write_text('{"id": "a", "map": {"var0": "x\\udc00"}}\n')
+        flags = [tmp_path / flag if "." in flag else flag for flag in flags]
+        out = tmp_path / "o"
+        assert run(command, "--corpus", tmp_path / "corpus.jsonl", "--out", out, *flags) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / bad}:{line}: a string holds the lone surrogate '{escape}'\n"
+        )
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_surrogate_pair_escape_is_one_character(self, tmp_path):
+        corpus = write_corpus_file(tmp_path, [dict(GOOD[0], id="a\U0001f600")])
+        assert "\\ud83d\\ude00" in corpus.read_text()
+        assert run("preprocess", "--corpus", corpus, "--out", tmp_path / "o") == 0
+        assert json.loads((tmp_path / "o" / "corpus.jsonl").read_text())["id"] == "a\U0001f600"
+
     def test_sidecar_directory_is_created(self, tmp_path, capsys):
         corpus = write_corpus_file(tmp_path, [dict(GOOD[0], intent="push 0x1")])
         sidecar = tmp_path / "nodir" / "maps.jsonl"
@@ -596,8 +627,7 @@ class TestPreprocess:
                     "prediction": "p", "language": "assembly"}]
         corpus = write_corpus_file(tmp_path, records)
         out = tmp_path / "o"
-        assert run("preprocess", "--corpus", corpus, "--out", out, "--filter-stopwords",
-                   "--stopwords", stop) == 0
+        assert run("preprocess", "--corpus", corpus, "--out", out, "--filter-stopwords", stop) == 0
         got = json.loads((out / "corpus.jsonl").read_text().splitlines()[0])
         assert got["intent"] == "jump label"
 
@@ -611,7 +641,7 @@ class TestPreprocess:
         assert got["intent"] == "Jump label var0 return"
 
     def test_stopwords_environment_variable_is_not_read(self, tmp_path, monkeypatch):
-        # only --stopwords names a stopword file
+        # only --filter-stopwords FILE names a stopword file
         stop = tmp_path / "stop.txt"
         stop.write_text("jump\nlabel\n")
         monkeypatch.setenv("EVALKIT_STOPWORDS", str(stop))
@@ -630,6 +660,37 @@ class TestExitCodes:
         assert run("split", "--corpus", corpus, "--out", tmp_path / "splits") == 1
         assert "invalid choice: 'split'" in capsys.readouterr().err
         assert not (tmp_path / "splits").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--format", "jsonl"]),
+        ("analyze", ["--results", "results.csv", "--partition", "whole"]),
+        ("preprocess", ["--filter-stopwords", "--stopwords", "stop.txt"]),
+    ], ids=["format", "partition", "stopwords"])
+    def test_deleted_flag_exits_1_with_usage(self, tmp_path, capsys, command, flags):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        assert run(command, "--corpus", corpus, "--out", tmp_path / "o", *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"unrecognized arguments: {' '.join(flags[-2:])}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_stopword_file_that_is_not_there_exits_1(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        missing = tmp_path / "nonexistent"
+        for flags in (["--stopwords", missing], ["--filter-stopwords", missing]):
+            assert run("preprocess", "--corpus", corpus, "--out", tmp_path / "o", *flags) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --stopwords" in err
+        assert err.endswith(f"error: file not found: {missing}\n")
+
+    def test_readme_cli_lines_parse(self):
+        # a README line that names a deleted or misspelled flag fails here
+        readme = (DATA_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+        lines = "".join(blocks).replace("\\\n", " ").splitlines()
+        argvs = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("evalkit ")]
+        assert {argv[0] for argv in argvs} == {"eval", "analyze", "preprocess"}
+        for argv in argvs:
+            cli.build_parser().parse_args(argv)
 
     def test_missing_corpus_file_exits_config(self, tmp_path):
         assert run("eval", "--corpus", tmp_path / "none.jsonl", "--out", tmp_path / "o") == 1
@@ -653,7 +714,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flags, text", [
         ("eval", ["--metrics-config"], b'{\n"metrics": ["EM", "ED\xff"]\n}\n'),
         ("preprocess", ["--rules"], b"# rules\nhex=0x\xff[0-9]+\n"),
-        ("preprocess", ["--filter-stopwords", "--stopwords"], b"the\n\xffto\n"),
+        ("preprocess", ["--filter-stopwords"], b"the\n\xffto\n"),
     ], ids=["metrics-config", "rules", "stopwords"])
     def test_non_utf8_config_file_exits_1_naming_line(self, tmp_path, capsys, command, flags, text):
         corpus = write_corpus_file(tmp_path, GOOD)
@@ -667,7 +728,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flags, text", [
         ("eval", ["--metrics-config"], '{"metrics": ["EM", "ED"]}\n'),
         ("preprocess", ["--rules"], "# rules\nhex=0x[0-9a-f]+\n"),
-        ("preprocess", ["--filter-stopwords", "--stopwords"], "the\nto\n"),
+        ("preprocess", ["--filter-stopwords"], "the\nto\n"),
         ("preprocess", ["--destandardize", "--sidecar"], '{"id": "a", "map": {"var0": "eax"}}\n'),
     ], ids=["metrics-config", "rules", "stopwords", "sidecar"])
     def test_leading_byte_order_mark_in_a_config_file_is_ignored(self, tmp_path, capsys, command,
@@ -697,22 +758,27 @@ class TestRepeatedMain:
         assert json.loads((tmp_path / "o3" / "run_config.json").read_text())["jobs"] == 3
         assert json.loads((tmp_path / "o" / "run_config.json").read_text())["jobs"] == 1
 
-    def test_partition_from_one_call_does_not_reach_the_next(self, tmp_path):
-        records = [dict(GOOD[i % 3], id=f"s{i}") for i in range(6)]
+    def test_stopwords_from_one_call_do_not_reach_the_next(self, tmp_path):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("jump\nlabel\n")
+        records = [{"id": "a", "intent": "jump to the label", "reference": "r",
+                    "prediction": "p", "language": "assembly"}]
         corpus = write_corpus_file(tmp_path, records)
-        results = tmp_path / "e" / "results.csv"
-        assert run("eval", "--corpus", corpus, "--out", tmp_path / "e") == 0
-        assert run("analyze", "--corpus", corpus, "--results", results,
-                   "--out", tmp_path / "whole", "--partition", "whole") == 0
-        assert run("analyze", "--corpus", corpus, "--results", results,
-                   "--out", tmp_path / "all") == 0
-
-        def partitions(out):
-            header = (out / "offsets.csv").read_text().splitlines()[0].split(",")
-            return [name[: -len("_value")] for name in header if name.endswith("_value")]
-
-        assert partitions(tmp_path / "whole") == ["whole"]
-        assert partitions(tmp_path / "all") == ["whole", "correct", "wrong"]
+        calls = {"file": ["--filter-stopwords", stop], "built-in": ["--filter-stopwords"],
+                 "none": []}
+        for name, flags in calls.items():  # in this order, on one parser
+            assert run("preprocess", "--corpus", corpus, "--out", tmp_path / "seq" / name,
+                       *flags) == 0
+        for name, flags in calls.items():  # each on a parser of its own
+            cli.build_parser.cache_clear()
+            assert run("preprocess", "--corpus", corpus, "--out", tmp_path / "alone" / name,
+                       *flags) == 0
+        intents = {}
+        for name in calls:
+            written = (tmp_path / "seq" / name / "corpus.jsonl").read_bytes()
+            assert written == (tmp_path / "alone" / name / "corpus.jsonl").read_bytes(), name
+            intents[name] = json.loads(written)["intent"]
+        assert intents == {"file": "to the", "built-in": "jump label", "none": "jump to the label"}
 
     def test_a_command_replaced_after_the_first_call_is_the_one_run(self, tmp_path, monkeypatch):
         # a tracer wraps cmd_* on the module after main has already run once

@@ -75,6 +75,24 @@ class TestLoadCorpus:
         assert reloaded.samples[0].reference == 'x,"y"'
         assert reloaded.samples[0].sc == 1
 
+    @pytest.mark.parametrize("name, format", [
+        ("c.csv", "csv"), ("c.CSV", "csv"), ("c.jsonl", "jsonl"), ("corpus", "jsonl"),
+        ("c.csv.jsonl", "jsonl"),
+    ])
+    def test_format_follows_the_suffix_by_default(self, tmp_path, name, format):
+        path = tmp_path / name
+        if format == "csv":
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(GOOD[0]))
+                writer.writeheader()
+                writer.writerows(GOOD)
+        else:
+            _write_jsonl(path, GOOD)
+        corpus = load_corpus(path)
+        assert corpus == load_corpus(path, format)
+        assert corpus.provenance["format"] == format
+        assert [s.sc for s in corpus] == [1, 0, None]
+
     def test_csv_blank_sc_is_unlabeled(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(

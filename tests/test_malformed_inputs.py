@@ -43,7 +43,7 @@ FILES = {
         for r in RECORDS
     ),
     "metrics.json": json.dumps({
-        "metrics": ["CA", "BLEU-4", "METEOR", "ED"], "checker": "auto",
+        "metrics": ["CA", "BLEU-4", "METEOR", "ED"],
         "bleu": {"smoothing": "epsilon", "epsilon": 0.1},
         "meteor": {"alpha": 0.9, "beta": 3, "gamma": 0.5},
         "tokenizers": {"assembly": {"mode": "code-punct", "newline_is_token": True}},
@@ -53,7 +53,8 @@ FILES = {
     "maps.jsonl": '{"id": "a", "map": {"var0": "0x10", "var1": "eax"}}\n'
                   '{"id": "b", "map": {"var0": "\'count\'"}}\n',
 }
-INSERTS = [b"\xef\xbb\xbf", b"NaN", b"Infinity", b"1e400", b'"', b"'", b"\x00", b"\xff", b"\xc3"]
+INSERTS = [b"\xef\xbb\xbf", b"NaN", b"Infinity", b"1e400", b'"', b"'", b"\x00", b"\xff", b"\xc3",
+           b"\\ud800"]
 # each is rejected when the configuration is built, before any check runs
 BAD_TEMPLATES = ['cmd:echo "{file}', "cmd:echo {x} {file}", "cmd:echo {} {file}",
                  "cmd:echo {{file}}"]
@@ -78,26 +79,68 @@ def mutate(data: bytes, changes) -> bytes:
     return data
 
 
-def optional(draw, *flags: str) -> list[str]:
-    return list(flags) if draw(st.booleans()) else []
+def command(choose) -> list[str]:
+    """An argv naming the files of FILES and an `out` directory, built from
+    what `choose(options)` picks out of each list of options."""
+    corpus = ["--corpus", choose(["corpus.jsonl", "corpus.csv"]), "--out", "out"]
+    name = choose(["eval", "analyze", "preprocess"])
+    if name == "eval":
+        return ["eval", *corpus, *choose([[], ["--metrics-config", "metrics.json"]]),
+                "--checker", choose(["none", "auto", *BAD_TEMPLATES]),
+                "--jobs", choose(["1", "2"])]
+    if name == "analyze":
+        return ["analyze", *corpus, "--results", "results.csv"]
+    if choose([False, True]):
+        return ["preprocess", *corpus, "--destandardize", "--sidecar", "maps.jsonl"]
+    return ["preprocess", *corpus, *choose([[], ["--rules", "rules.txt"]]),
+            *choose([[], ["--filter-stopwords"], ["--filter-stopwords", "stopwords.txt"]])]
 
 
 @st.composite
 def commands(draw) -> list[str]:
-    """An argv naming the files of FILES and an `out` directory."""
-    corpus = ["--corpus", draw(st.sampled_from(["corpus.jsonl", "corpus.csv"])), "--out", "out"]
-    command = draw(st.sampled_from(["eval", "analyze", "preprocess"]))
-    if command == "eval":
-        checker = draw(st.sampled_from(["none", "auto", *BAD_TEMPLATES]))
-        return ["eval", *corpus, *optional(draw, "--metrics-config", "metrics.json"),
-                "--checker", checker, "--jobs", draw(st.sampled_from(["1", "2"]))]
-    if command == "analyze":
-        partition = draw(st.sampled_from(["all", "whole", "correct", "wrong"]))
-        return ["analyze", *corpus, "--results", "results.csv", "--partition", partition]
-    if draw(st.booleans()):
-        return ["preprocess", *corpus, "--destandardize", "--sidecar", "maps.jsonl"]
-    return ["preprocess", *corpus, *optional(draw, "--rules", "rules.txt"),
-            *optional(draw, "--filter-stopwords", *optional(draw, "--stopwords", "stopwords.txt"))]
+    return command(lambda options: draw(st.sampled_from(options)))
+
+
+def every_command():
+    """Each argv that `command` can build: every sequence of its choices is
+    replayed once, a first pick of 0 queueing the other picks at that point."""
+    queue = [()]
+    while queue:
+        path = queue.pop()
+        taken: list[int] = []
+
+        def choose(options):
+            if len(taken) < len(path):
+                pick = path[len(taken)]
+            else:
+                pick = 0
+                queue.extend((*taken, other) for other in range(1, len(options)))
+            taken.append(pick)
+            return options[pick]
+
+        yield command(choose)
+
+
+def run_on(root: Path, argv: list[str]) -> tuple[int, str]:
+    """main's exit status and stderr for `argv`, its file names taken in `root`."""
+    args = [str(root / arg) if arg in FILES or arg == "out" else arg for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(args)
+    return code, err.getvalue()
+
+
+def test_every_command_succeeds_on_the_unmutated_files():
+    # so that no flag change leaves the fuzz test below only exercising argparse
+    argvs = list(every_command())
+    assert len(argvs) == 64 and {argv[0] for argv in argvs} == {"eval", "analyze", "preprocess"}
+    for argv in argvs:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, text in FILES.items():
+                (root / name).write_text(text, encoding="utf-8")
+            code, err = run_on(root, argv)
+        assert code == (1 if set(argv) & set(BAD_TEMPLATES) else 0), (argv, err)
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,8 +152,5 @@ def test_malformed_inputs_exit_with_a_code_not_a_traceback(argv, changes, missin
         for name, text in FILES.items():
             if name not in missing:
                 (root / name).write_bytes(mutate(text.encode("utf-8"), changes[name]))
-        args = [str(root / arg) if arg in FILES or arg == "out" else arg for arg in argv]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(args)
-        assert code in (0, 1, 2, 3), (code, err.getvalue())
+        code, err = run_on(root, argv)
+        assert code in (0, 1, 2, 3), (code, err)
