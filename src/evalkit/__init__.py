@@ -28,8 +28,8 @@ _EXPORTS = {
         "kendall_tau", "offsets", "partition_by_sc", "pearson",
     ),
     "textprep": (
-        "StandardizationMap", "StopwordList", "TokenizerConfig", "destandardize",
-        "filter_stopwords", "standardize", "tokenize",
+        "StandardizationMap", "TokenizerConfig", "destandardize", "filter_stopwords",
+        "standardize", "tokenize",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

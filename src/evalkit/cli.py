@@ -30,7 +30,7 @@ from .corpus import (
     write_corpus,
     write_results,
 )
-from .errors import CheckerError, ConfigError, DataError
+from .errors import ConfigError, DataError, EvalkitError
 from .metrics import (
     CANONICAL_METRICS,
     DEFAULT_BLEU_EPSILON,
@@ -40,27 +40,30 @@ from .metrics import (
 )
 from .textprep import (
     StandardizationMap,
-    StopwordList,
     TokenizerConfig,
     default_rules,
     default_stopwords,
     destandardize,
     filter_stopwords,
     load_rules,
+    load_stopwords,
     standardize,
     tokenize,
 )
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_DATA = 2
-EXIT_CHECKER = 3
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are configuration errors
         self.print_usage(sys.stderr)
         raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a command's parser runs this on the arguments after the command, so
+        # one it does not know is reported with that command's usage
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
 
 
 def _object(value, where: str) -> dict:
@@ -134,9 +137,13 @@ def load_metric_config(path: str | None, checker: str | None = None) -> MetricCo
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     try:
-        return MetricConfig(**_config_kwargs(obj), checker=checker)
+        kwargs = _config_kwargs(obj)
+        cfg = MetricConfig(**kwargs, checker=checker)
+        if "CA" in kwargs.get("metrics", ()) and checker == "none":  # CA would be dropped
+            raise ConfigError("metrics: CA needs a checker, but --checker is none")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return cfg
 
 
 def _config_echo(cfg: MetricConfig, jobs: int) -> str:
@@ -171,7 +178,7 @@ def cmd_eval(args) -> int:
     write_results(rows, out / "results.csv")
     _write_text(out / "run_config.json", _config_echo(cfg, args.jobs))
     print(f"evaluated {len(rows)} samples -> {out / 'results.csv'}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -202,7 +209,7 @@ def cmd_analyze(args) -> int:
     skipped = report.metadata["unlabeled_skipped"]
     print(f"analyzed {report.metadata['labeled']} labeled samples "
           f"({skipped} unlabeled skipped) -> {out}")
-    return EXIT_OK
+    return 0
 
 
 def _load_sidecar(path: Path) -> dict[str, StandardizationMap]:
@@ -239,7 +246,7 @@ def cmd_preprocess(args) -> int:
         rules = load_rules(args.rules) if args.rules else default_rules()
         stopwords = args.filter_stopwords  # None: keep them; True: the built-in list
         if stopwords is not None:
-            stopwords = default_stopwords() if stopwords is True else StopwordList.from_file(stopwords)
+            stopwords = default_stopwords() if stopwords is True else load_stopwords(stopwords)
         sidecar_path.parent.mkdir(parents=True, exist_ok=True)
         with open(sidecar_path, "w", encoding="utf-8", newline="\n") as side:
             for s in corpus:
@@ -253,7 +260,7 @@ def cmd_preprocess(args) -> int:
         done, note = "standardized", " (+ sidecar)"
     write_corpus(Corpus(tuple(samples), corpus.provenance), out / "corpus.jsonl")
     print(f"{done} {len(samples)} samples -> {out / 'corpus.jsonl'}{note}")
-    return EXIT_OK
+    return 0
 
 
 def _job_count(text: str) -> int:
@@ -307,21 +314,15 @@ def main(argv=None) -> int:
         # looked up on each call, not bound into the cached parser, so a
         # cmd_* function replaced on this module (as a tracer does) is the one run
         return globals()[f"cmd_{args.command}"](args)
-    except ConfigError as exc:
+    except EvalkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
     except OSError as exc:  # a directory for a file, a file for --out, ...
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except CheckerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKER
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -108,12 +108,7 @@ def rouge_n(pred: Sequence[str], ref: Sequence[str], n: int) -> tuple[float, flo
 
 def rouge_l(pred: Sequence[str], ref: Sequence[str]) -> tuple[float, float, float]:
     """ROUGE with the n-gram match replaced by the longest common subsequence."""
-    if not len(pred) or not len(ref):
-        return 0.0, 0.0, 0.0
-    lcs = lcs_length(pred, ref)
-    p = lcs / len(pred)
-    r = lcs / len(ref)
-    return p, r, _f1(p, r)
+    return _prf(lcs_length(pred, ref), len(pred), len(ref))
 
 
 BLEU_SMOOTHING_MODES = ("none", "epsilon")

@@ -54,19 +54,18 @@ def _render_rows(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str)
     raise DataError(f"unknown render format {fmt!r} (expected txt, csv or md)")
 
 
-def _flags(values: Mapping[str, float | None], lower_is_better: bool) -> dict[str, str]:
-    """Flag the metrics at the better end "best" and those at the other end
-    "worst"; ties share flags, and metrics whose value is None get none."""
-    defined = {metric: value for metric, value in values.items() if value is not None}
-    if not defined:
-        return {}
-    lo = min(defined.values())
-    hi = max(defined.values())
+def _column(values: Sequence[float | None], lower_is_better: bool) -> tuple[list[str], list[str]]:
+    """The cells of a table column of `values` ending in their Average, and
+    the column of their flags: "best" at the better end and "worst" at the
+    other, ties sharing a flag. None is undefined: it renders "undef", is left
+    out of the Average ("undef" if nothing is defined) and gets no flag."""
+    defined = [v for v in values if v is not None]
+    lo, hi = min(defined, default=None), max(defined, default=None)
     best, worst = (lo, hi) if lower_is_better else (hi, lo)
-    return {
-        metric: "best" if value == best else "worst" if value == worst else ""
-        for metric, value in defined.items()
-    }
+    cells = [*map(_fmt, values), _fmt(sum(defined) / len(defined)) if defined else UNDEF]
+    flags = ["" if v is None else "best" if v == best else "worst" if v == worst else ""
+             for v in values]
+    return cells, [*flags, ""]
 
 
 def render_offset_table(
@@ -94,10 +93,8 @@ def render_offset_table(
         if rows is None:
             columns += [[NA] * height, [NA] * height, [""] * height]
             continue
-        flags = _flags({r.metric: r.offset for r in rows}, lower_is_better=True)
-        for values in ([r.mean_value for r in rows], [r.offset for r in rows]):
-            columns.append([*map(_fmt, values), _fmt(sum(values) / len(values))])
-        columns.append([flags[r.metric] for r in rows] + [""])
+        values, _ = _column([r.mean_value for r in rows], lower_is_better=True)
+        columns += [values, *_column([r.offset for r in rows], lower_is_better=True)]
     return _render_rows(header, list(zip(*columns)), fmt)
 
 
@@ -106,41 +103,18 @@ def render_correlation_table(rows: Sequence[CorrelationRow], fmt: str = "txt") -
     "undef" and are excluded from the averages, with a note saying how many."""
     if not rows:
         raise DataError("correlation table needs at least one row")
-    r_flags = _flags({r.metric: r.pearson_r for r in rows}, lower_is_better=False)
-    t_flags = _flags({r.metric: r.kendall_tau for r in rows}, lower_is_better=False)
     header = ["metric", "pearson_r", "r_flag", "kendall_tau", "tau_flag", "n"]
-    table = []
-    for row in rows:
-        table.append(
-            [
-                row.metric,
-                _fmt(row.pearson_r),
-                r_flags.get(row.metric, ""),
-                _fmt(row.kendall_tau),
-                t_flags.get(row.metric, ""),
-                str(row.n),
-            ]
-        )
-    defined_r = [r.pearson_r for r in rows if r.pearson_r is not None]
-    defined_t = [r.kendall_tau for r in rows if r.kendall_tau is not None]
+    columns = [
+        [*(r.metric for r in rows), "Average"],
+        *_column([r.pearson_r for r in rows], lower_is_better=False),
+        *_column([r.kendall_tau for r in rows], lower_is_better=False),
+        [*(str(r.n) for r in rows), str(rows[0].n)],
+    ]
+    doc = _render_rows(header, list(zip(*columns)), fmt)
     n_undef = sum(1 for r in rows if r.pearson_r is None or r.kendall_tau is None)
-    table.append(
-        [
-            "Average",
-            _fmt(sum(defined_r) / len(defined_r)) if defined_r else UNDEF,
-            "",
-            _fmt(sum(defined_t) / len(defined_t)) if defined_t else UNDEF,
-            "",
-            str(rows[0].n),
-        ]
-    )
-    doc = _render_rows(header, table, fmt)
     if n_undef:
         note = f"note: {n_undef} metric(s) undefined, excluded from the average"
-        if fmt == "csv":
-            doc += f"# {note}\n"
-        else:
-            doc += f"{note}\n"
+        doc += f"# {note}\n" if fmt == "csv" else f"{note}\n"
     return doc
 
 

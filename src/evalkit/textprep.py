@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 
 from ._record import Record
 from .corpus import open_utf8
@@ -68,33 +69,6 @@ def tokenize(text: str, cfg: TokenizerConfig) -> tuple[str, ...]:
     return tuple(_TOKEN_PATTERNS[cfg.mode, cfg.newline_is_token].findall(text))
 
 
-class StopwordList(Record):
-    """Set of lowercase words to drop from intents."""
-
-    _fields = ("words",)
-
-    def __init__(self, words: frozenset[str]) -> None:
-        if not words:
-            raise ConfigError("stopword list is empty")
-        self.__dict__.update(words=words)
-
-    @classmethod
-    def from_words(cls, words: Iterable[str]) -> "StopwordList":
-        return cls(frozenset(w.strip().lower() for w in words if w.strip()))
-
-    @classmethod
-    def from_file(cls, path) -> "StopwordList":
-        words = []
-        with _open_config(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    words.append(line)
-        if not words:
-            raise ConfigError(f"stopword file {path} contains no words")
-        return cls.from_words(words)
-
-
 def _open_config(path):
     """`open_utf8` for a configuration file: a byte sequence that is not
     UTF-8 raises ConfigError naming the path and line."""
@@ -104,9 +78,19 @@ def _open_config(path):
         raise ConfigError(str(exc)) from None
 
 
-def filter_stopwords(seq: Iterable[str], stop: StopwordList) -> tuple[str, ...]:
-    """Drop tokens whose lowercase form is a stopword; order preserved."""
-    return tuple(t for t in seq if t.lower() not in stop.words)
+def load_stopwords(path) -> frozenset[str]:
+    """Read a stopword file: one word per line, '#' starting a comment; the
+    words come back lowercased. A file with no words raises ConfigError."""
+    with _open_config(path) as fh:
+        words = frozenset(w for line in fh if (w := line.split("#", 1)[0].strip().lower()))
+    if not words:
+        raise ConfigError(f"stopword file {path} contains no words")
+    return words
+
+
+def filter_stopwords(seq: Iterable[str], stop: frozenset[str]) -> tuple[str, ...]:
+    """Drop tokens whose lowercase form is in the lowercase set `stop`; order preserved."""
+    return tuple(t for t in seq if t.lower() not in stop)
 
 
 _PLACEHOLDER = re.compile(r"\bvar(\d+)\b")
@@ -173,43 +157,38 @@ def load_rules(path) -> list[tuple[str, re.Pattern]]:
     return compile_rules(rules)
 
 
-def _packaged(name: str):
-    """A context manager giving the path of the packaged data file `name`."""
-    from importlib.resources import as_file, files
-
-    return as_file(files("evalkit.data") / name)
+_DATA = Path(__file__).parent / "data"  # the files installed with the package
 
 
 def default_rules() -> list[tuple[str, re.Pattern]]:
     """The built-in entity rules of `data/rules_default.txt`, in priority order."""
-    with _packaged("rules_default.txt") as path:
-        return load_rules(path)
+    return load_rules(_DATA / "rules_default.txt")
 
 
-def default_stopwords() -> StopwordList:
-    """The built-in stopword list of `data/stopwords.txt`."""
-    with _packaged("stopwords.txt") as path:
-        return StopwordList.from_file(path)
+def default_stopwords() -> frozenset[str]:
+    """The built-in stopwords of `data/stopwords.txt`."""
+    return load_stopwords(_DATA / "stopwords.txt")
 
 
 def standardize(
-    intent: str, rules: Sequence[tuple[str, re.Pattern | str]]
+    intent: str, rules: Sequence[tuple[str, re.Pattern]]
 ) -> tuple[str, StandardizationMap]:
     """Replace entity spans in `intent` with var0, var1, ... placeholders.
 
-    Matching is left-to-right, first-match-wins: at each position the earliest
-    match starts a replacement; among rules matching at the same position the
-    one listed first wins. Identical literals reuse their placeholder. Returns
-    the rewritten intent plus the map needed to invert the rewrite. A chosen
+    `rules` are compiled (name, pattern) pairs, as `compile_rules`,
+    `load_rules` and `default_rules` return them. Matching is left-to-right,
+    first-match-wins: at each position the earliest match starts a
+    replacement; among rules matching at the same position the one listed
+    first wins. Identical literals reuse their placeholder. Returns the
+    rewritten intent plus the map needed to invert the rewrite. A chosen
     match that is empty raises ConfigError naming the rule and the offset.
     """
-    compiled = compile_rules(rules)
     out: list[str] = []
     index: dict[str, int] = {}  # literal -> placeholder number, in order of first appearance
     pos = 0
     while pos < len(intent):
         best: re.Match | None = None
-        for name, pattern in compiled:
+        for name, pattern in rules:
             m = pattern.search(intent, pos)
             if m is not None and (best is None or m.start() < best.start()):
                 best, rule = m, name

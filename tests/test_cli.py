@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from evalkit import cli
+from evalkit import CheckerError, ConfigError, DataError, cli
 from evalkit.checkers import SyntaxChecker
 from evalkit.cli import main
 from evalkit.metrics import CANONICAL_METRICS
@@ -216,6 +216,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"{cfg}: " in err and key in err
         assert not (tmp_path / "o" / "results.csv").exists()
+
+    def test_config_asking_for_ca_under_checker_none_exits_1(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        cfg = tmp_path / "m.json"
+        cfg.write_text('{"metrics": ["CA", "EM"]}')
+        out = tmp_path / "o"
+        argv = ["eval", "--corpus", corpus, "--out", out, "--metrics-config", cfg, "--checker", "none"]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: metrics: CA needs a checker, but --checker is none\n")
+        assert not out.exists()
+        # without a metrics key, --checker none drops CA from the default set
+        cfg.write_text("{}")
+        assert run(*argv) == 0
+        assert (out / "results.csv").read_text().startswith("id,ROUGE-1-P,")
 
     @pytest.mark.parametrize("checker, message", [
         ("bogus", "unknown checker selector 'bogus'"),
@@ -460,6 +475,18 @@ class TestAnalyze:
         "offsets.txt": "c25e78b03ea1c7fa8721ff49e630a7bcfcc8dc746faf8a9396a3e4f50796290a",
         "sc_marker.csv": "cb6baabf9ea73a027ba8c0a93fda6858a048160166d51b17c7f86d618d74c565",
     }
+    # and for the identity corpus of test_identity_corpus_offsets
+    IDENTITY_SHA256 = {
+        "analysis_meta.json": "3b9c20594f1606b820c82b11ba2710b9d5ccb428f99fd217dc0ff349218b0809",
+        "boxplot.csv": "5f5a2e5f812895e075119c9d124549003e80abd491a5fc1b98f6ba8d85f30886",
+        "correlation.csv": "2fe2cc9c9b1e31a459105f81b4cc021de7694f7845d94796362a0e6b7d728cad",
+        "correlation.md": "82ee5945f0ce6353c28675cbbaa791886174ce723eb2ef4dedee5e757096e98e",
+        "correlation.txt": "cd1e0e4e8eccdedbb25d6d64143732c02f07c9c41c2deca38e2fb321e687c8a0",
+        "offsets.csv": "895daa22b1d0ca9534156dd8003b17ba0ccd6c701efa9e49e384196a2831f6fd",
+        "offsets.md": "5ae4cafe6276aeb96ca3a4e483464edb750c2b3f5afb07afc538fcf4b7e353de",
+        "offsets.txt": "0a83d2ea3f100a9c8aff3a1b646dda3d748473ffffe7e206cd228f55753eeb8d",
+        "sc_marker.csv": "c870bee00b49e485b51a1b50252fd436eb3e7515b468334c97f526e2818f0c2d",
+    }
 
     def test_output_bytes_pinned(self, tmp_path, monkeypatch):
         rng = random.Random(6)
@@ -479,9 +506,21 @@ class TestAnalyze:
         monkeypatch.chdir(tmp_path)
         assert run("analyze", "--corpus", "corpus.jsonl", "--results", "results.csv",
                    "--out", "analysis") == 0
-        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in sorted((tmp_path / "analysis").iterdir())}
-        assert digests == self.ANALYZE_SHA256
+        assert self._digests(tmp_path / "analysis") == self.ANALYZE_SHA256
+        # every sample correct: the wrong columns are n/a, every correlation undef
+        identity = tmp_path / "identity"
+        identity.mkdir()
+        write_corpus_file(identity, [dict(GOOD[0], id=f"s{i}") for i in range(3)])
+        monkeypatch.chdir(identity)
+        assert run("eval", "--corpus", "corpus.jsonl", "--out", "run") == 0
+        assert run("analyze", "--corpus", "corpus.jsonl", "--results", "run/results.csv",
+                   "--out", "analysis") == 0
+        assert self._digests(identity / "analysis") == self.IDENTITY_SHA256
+
+    @staticmethod
+    def _digests(directory) -> dict[str, str]:
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(directory.iterdir())}
 
     def test_fixture_corpus_report_values(self, tmp_path):
         out = tmp_path / "out"
@@ -655,6 +694,21 @@ class TestExitCodes:
     def test_unknown_command_is_config_error(self):
         assert run("frobnicate") == 1
 
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError, 1),
+        (DataError, 2),
+        (CheckerError, 3),
+        (type("CorpusGone", (DataError,), {}), 2),
+    ], ids=["config", "data", "checker", "data-subclass"])
+    def test_an_error_from_a_command_exits_with_its_class_code(
+            self, tmp_path, capsys, monkeypatch, error, code):
+        def fail(args):
+            raise error("it went wrong")
+        monkeypatch.setattr(cli, "cmd_eval", fail)
+        assert error.exit_code == code
+        assert run("eval", "--corpus", tmp_path / "c.jsonl", "--out", tmp_path / "o") == code
+        assert capsys.readouterr().err == "error: it went wrong\n"
+
     def test_split_is_not_a_command(self, tmp_path, capsys):
         corpus = write_corpus_file(tmp_path, GOOD)
         assert run("split", "--corpus", corpus, "--out", tmp_path / "splits") == 1
@@ -670,8 +724,17 @@ class TestExitCodes:
         corpus = write_corpus_file(tmp_path, GOOD)
         assert run(command, "--corpus", corpus, "--out", tmp_path / "o", *flags) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage:") and f"unrecognized arguments: {' '.join(flags[-2:])}" in err
+        # with the usage of the command the flag was given to
+        assert err.startswith(f"usage: evalkit {command} [-h] --corpus CORPUS --out OUT")
+        assert err.endswith(f"\nerror: unrecognized arguments: {' '.join(flags[-2:])}\n")
         assert not (tmp_path / "o").exists()
+
+    def test_unknown_flag_before_the_command_gets_the_top_level_usage(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        assert run("--bogus", "eval", "--corpus", corpus, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: evalkit [-h] [--version] {eval,analyze,preprocess}")
+        assert err.endswith("\nerror: unrecognized arguments: --bogus\n")
 
     def test_a_stopword_file_that_is_not_there_exits_1(self, tmp_path, capsys):
         corpus = write_corpus_file(tmp_path, GOOD)

@@ -140,7 +140,9 @@ def test_every_command_succeeds_on_the_unmutated_files():
             for name, text in FILES.items():
                 (root / name).write_text(text, encoding="utf-8")
             code, err = run_on(root, argv)
-        assert code == (1 if set(argv) & set(BAD_TEMPLATES) else 0), (argv, err)
+        # a bad template, or a config asking for CA under `--checker none`, exits 1
+        config_error = set(argv) & set(BAD_TEMPLATES) or {"metrics.json", "none"} <= set(argv)
+        assert code == (1 if config_error else 0), (argv, err)
 
 
 @settings(max_examples=200, deadline=None)

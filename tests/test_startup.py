@@ -75,6 +75,25 @@ def test_eval_imports_nothing_after_import(tmp_path):
     assert result == [[], []]
 
 
+def test_preprocess_imports_nothing_after_import(tmp_path):
+    corpus = DATA_DIR / "mini_corpus.jsonl"
+    result = run_python(
+        "import contextlib, io, json, sys\n"
+        "import evalkit.cli\n"
+        "corpus, out = sys.argv[1], sys.argv[2]\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [evalkit.cli.main(['preprocess', '--corpus', corpus, '--out', out,\n"
+        "                               '--filter-stopwords']),\n"
+        "             evalkit.cli.main(['preprocess', '--corpus', out + '/corpus.jsonl',\n"
+        "                               '--out', out + '/back', '--destandardize',\n"
+        "                               '--sidecar', out + '/standardization_maps.jsonl'])]\n"
+        "print(json.dumps({'codes': codes, 'added': sorted(set(sys.modules) - before)}))\n",
+        str(corpus), str(tmp_path / "std"),
+    )
+    assert result == {"codes": [0, 0], "added": []}
+
+
 def test_analyze_and_external_checks_load_what_they_need(tmp_path):
     corpus = DATA_DIR / "mini_corpus.jsonl"
     result = run_python(

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evalkit import ConfigError, StandardizationMap, StopwordList, TokenizerConfig
+from evalkit import ConfigError, StandardizationMap, TokenizerConfig
+from evalkit.cli import main
 from evalkit.textprep import (
+    compile_rules,
     default_rules,
+    default_stopwords,
     destandardize,
     filter_stopwords,
     load_rules,
+    load_stopwords,
     standardize,
     tokenize,
 )
@@ -111,36 +115,50 @@ class TestTokenize:
 
 class TestStopwords:
     def test_filter_preserves_order(self):
-        stop = StopwordList.from_words(["the", "to"])
+        stop = frozenset({"the", "to"})
         seq = tokenize("jump to the label", WS)
         assert list(filter_stopwords(seq, stop)) == ["jump", "label"]
 
     def test_idempotent(self):
-        stop = StopwordList.from_words(["the"])
+        stop = frozenset({"the"})
         seq = filter_stopwords(tokenize("the a the b", WS), stop)
         assert list(filter_stopwords(seq, stop)) == list(seq)
 
     def test_all_stopwords_gives_empty(self):
-        stop = StopwordList.from_words(["a", "b"])
+        stop = frozenset({"a", "b"})
         assert list(filter_stopwords(tokenize("a b A B", WS), stop)) == []
 
-    def test_matching_is_case_insensitive(self):
-        stop = StopwordList.from_words(["The"])
+    def test_matching_is_case_insensitive(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("The\n", encoding="utf-8")
+        stop = load_stopwords(path)
         assert list(filter_stopwords(tokenize("THE end", WS), stop)) == ["end"]
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ConfigError):
-            StopwordList.from_words([])
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "stop.txt"
-        path.write_text("# comment\nthe\neach  \n\nonto\n", encoding="utf-8")
-        stop = StopwordList.from_file(path)
-        assert stop.words == {"the", "each", "onto"}
+        path.write_text("# comment\nthe\neach  \n\nonto # trailing\n", encoding="utf-8")
+        assert load_stopwords(path) == {"the", "each", "onto"}
+
+    def test_file_of_only_comments_rejected(self, tmp_path, capsys):
+        path = tmp_path / "stop.txt"
+        path.write_text("# comment\n\n   \n  # another\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="contains no words"):
+            load_stopwords(path)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "intent": "the x", "reference": "r", "prediction": "p", '
+                          '"language": "other"}\n', encoding="utf-8")
+        assert main(["preprocess", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                     "--filter-stopwords", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: stopword file {path} contains no words\n"
+
+    def test_default_stopwords_are_a_lowercase_set(self):
+        stop = default_stopwords()
+        assert type(stop) is frozenset and "the" in stop
+        assert all(word == word.lower() for word in stop)
 
 
-NUMERIC_RULE = [("numeric-literal", r"(?<![\w.])\d+(?![\w.])")]
-HEX_RULE = [("hex-literal", r"0[xX][0-9a-fA-F]+")]
+NUMERIC_RULE = compile_rules([("numeric-literal", r"(?<![\w.])\d+(?![\w.])")])
+HEX_RULE = compile_rules([("hex-literal", r"0[xX][0-9a-fA-F]+")])
 
 
 class TestStandardize:
@@ -150,13 +168,13 @@ class TestStandardize:
         assert dict(smap.entries) == {"var0": "5"}
 
     def test_no_match_is_identity_with_empty_map(self):
-        text, smap = standardize("compare s1 with s2", [("never", r"zzz")])
+        text, smap = standardize("compare s1 with s2", compile_rules([("never", r"zzz")]))
         assert text == "compare s1 with s2"
         assert smap.entries == ()
 
     def test_two_hex_literals_in_textual_order(self):
         intent = "push 0x68732f2f then push 0x6e69622f"
-        expected = [m.group() for m in re.finditer(HEX_RULE[0][1], intent)]
+        expected = [m.group() for m in HEX_RULE[0][1].finditer(intent)]
         text, smap = standardize(intent, HEX_RULE)
         assert text == "push var0 then push var1"
         assert [lit for _, lit in smap.entries] == expected
@@ -167,18 +185,18 @@ class TestStandardize:
         assert dict(smap.entries) == {"var0": "0x1"}
 
     def test_first_match_wins_among_rules(self):
-        rules = [("hex", r"0x[0-9a-f]+"), ("dec", r"\d+")]
+        rules = compile_rules([("hex", r"0x[0-9a-f]+"), ("dec", r"\d+")])
         text, smap = standardize("use 0x10 now", rules)
         assert text == "use var0 now"
         assert dict(smap.entries) == {"var0": "0x10"}
 
     def test_invalid_regex_raises_config_error(self):
-        with pytest.raises(ConfigError):
-            standardize("x", [("bad", "(")])
+        with pytest.raises(ConfigError, match="rule 'bad': invalid regex"):
+            compile_rules([("bad", "(")])
 
     def test_empty_matching_rule_rejected(self):
-        with pytest.raises(ConfigError, match="empty"):
-            standardize("x", [("weak", "z*")])
+        with pytest.raises(ConfigError, match="rule 'weak': regex matches the empty string$"):
+            compile_rules([("weak", "z*")])
 
     @pytest.mark.parametrize("rule, intent, offset", [
         (r"\b", "mov eax", 0),
@@ -186,12 +204,13 @@ class TestStandardize:
     ], ids=["word-boundary", "lookbehind"])
     def test_rule_matching_empty_only_in_context_rejected(self, rule, intent, offset):
         # compile_rules lets these through; the scan must not loop or map ""
+        rules = compile_rules([("ctx", rule)])
         with pytest.raises(ConfigError) as info:
-            standardize(intent, [("ctx", rule)])
+            standardize(intent, rules)
         assert str(info.value) == f"rule 'ctx': regex matches the empty string at offset {offset}"
 
     def test_precompiled_pattern_keeps_flags(self):
-        rule = [("reg", re.compile(r"\beax\b", re.IGNORECASE))]
+        rule = compile_rules([("reg", re.compile(r"\beax\b", re.IGNORECASE))])
         text, smap = standardize("move EAX here", rule)
         assert text == "move var0 here"
         assert dict(smap.entries) == {"var0": "EAX"}
@@ -273,7 +292,7 @@ class TestRulesFile:
 @settings(max_examples=200)
 @given(st.lists(st.sampled_from(["mov", "eax,", "5", "\n", "the"]), max_size=12))
 def test_filter_stopwords_is_a_subsequence(tokens):
-    stop = StopwordList.from_words(["the", "5"])
+    stop = frozenset({"the", "5"})
     filtered = list(filter_stopwords(tuple(tokens), stop))
     it = iter(tokens)
     assert all(tok in it for tok in filtered)

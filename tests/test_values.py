@@ -23,7 +23,6 @@ from evalkit import (
     Partition,
     Sample,
     StandardizationMap,
-    StopwordList,
     SyntaxChecker,
     TokenizerConfig,
 )
@@ -104,11 +103,6 @@ VALUES = {
         lambda: TokenizerConfig(),
         lambda: TokenizerConfig("code-punct"),
         "TokenizerConfig(mode='whitespace', newline_is_token=False, lowercase=False)",
-    ),
-    "StopwordList": (
-        lambda: StopwordList(frozenset({"the"})),
-        lambda: StopwordList(frozenset({"a"})),
-        "StopwordList(words=frozenset({'the'}))",
     ),
     "StandardizationMap": (
         lambda: StandardizationMap((("var0", "0x10"), ("var1", "eax"))),
@@ -302,8 +296,6 @@ BAD_ARGUMENTS = [
      "tokenizer newline_is_token must be true or false, got 1"),
     (lambda: TokenizerConfig("whitespace", False, "yes"), ConfigError,
      "tokenizer lowercase must be true or false, got 'yes'"),
-    (lambda: StopwordList(frozenset()), ConfigError, "stopword list is empty"),
-    (lambda: StopwordList(), TypeError, "missing 1 required positional argument: 'words'"),
     (lambda: StandardizationMap((("var1", "a"),)), ValueError,
      "placeholder 'var1' breaks dense var0.. numbering"),
     (lambda: StandardizationMap((("var0", ""),)), ValueError,
