@@ -170,8 +170,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    corpus = load_corpus(args.corpus)
     cfg = load_metric_config(args.metrics_config, args.checker)
+    corpus = load_corpus(args.corpus)
     rows = evaluate_corpus(corpus, cfg, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,7 +194,10 @@ def cmd_analyze(args) -> int:
     results = load_results(args.results)
     if results and not set(CANONICAL_METRICS).intersection(results[0][1]):
         raise DataError(f"{args.results}:1: no metric column (expected any of {', '.join(CANONICAL_METRICS)})")
-    report = build_report(corpus, dict(results))
+    try:
+        report = build_report(corpus, dict(results))
+    except DataError as exc:  # the corpus and the results do not fit together
+        raise DataError(f"{args.corpus} and {args.results}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for fmt in ("txt", "csv", "md"):
@@ -230,13 +233,13 @@ def _load_sidecar(path: Path) -> dict[str, StandardizationMap]:
 
 
 def cmd_preprocess(args) -> int:
-    corpus = load_corpus(args.corpus)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     sidecar_path = Path(args.sidecar) if args.sidecar else out / "standardization_maps.jsonl"
     samples = []
+    # configuration files are read before the corpus, so a corpus error cannot hide theirs
     if args.destandardize:
         maps = _load_sidecar(sidecar_path)
+        corpus = load_corpus(args.corpus)
         for s in corpus:
             smap = maps.get(s.id, StandardizationMap())
             samples.append(s._replace(intent=destandardize(s.intent, smap),
@@ -247,6 +250,7 @@ def cmd_preprocess(args) -> int:
         stopwords = args.filter_stopwords  # None: keep them; True: the built-in list
         if stopwords is not None:
             stopwords = default_stopwords() if stopwords is True else load_stopwords(stopwords)
+        corpus = load_corpus(args.corpus)
         sidecar_path.parent.mkdir(parents=True, exist_ok=True)
         with open(sidecar_path, "w", encoding="utf-8", newline="\n") as side:
             for s in corpus:
@@ -258,6 +262,7 @@ def cmd_preprocess(args) -> int:
                 side.write(_to_json({"id": s.id, "map": dict(smap.entries)}) + "\n")
                 samples.append(s._replace(intent=intent))
         done, note = "standardized", " (+ sidecar)"
+    out.mkdir(parents=True, exist_ok=True)
     write_corpus(Corpus(tuple(samples), corpus.provenance), out / "corpus.jsonl")
     print(f"{done} {len(samples)} samples -> {out / 'corpus.jsonl'}{note}")
     return 0

@@ -148,18 +148,13 @@ def _json_lines(path):
             yield where, value
 
 
-def load_corpus(path, format: str | None = None) -> Corpus:
-    """Read a corpus file (one record per sample) in jsonl or csv format; by
-    default csv for a `.csv` suffix in any case, else jsonl."""
-    path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    samples: list[Sample] = []
+def _records(path: Path, format: str):
+    """(`path:line` or `path:row n`, record) for each record of a corpus file."""
     if format == "jsonl":
         for where, record in _json_lines(path):
             if not isinstance(record, dict):
                 raise DataError(f"{where}: expected an object per line")
-            samples.append(_sample_from_record(record, where))
+            yield where, record
     elif format == "csv":
         with open_utf8(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -170,12 +165,29 @@ def load_corpus(path, format: str | None = None) -> Corpus:
                 if missing:
                     raise DataError(f"{path}:1: missing columns: {', '.join(sorted(missing))}")
                 for rownum, row in enumerate(reader, 2):
-                    samples.append(_sample_from_record(row, f"{path}:row {rownum}"))
+                    yield f"{path}:row {rownum}", row
             except csv.Error as exc:  # such as a field over csv.field_size_limit()
                 raise DataError(f"{path}:{reader.reader.line_num}: {exc}") from None
     else:
         raise DataError(f"unknown corpus format {format!r} (expected jsonl or csv)")
-    return Corpus(tuple(samples), provenance={"source": str(path), "format": format})
+
+
+def load_corpus(path, format: str | None = None) -> Corpus:
+    """Read a corpus file (one record per sample) in jsonl or csv format; by
+    default csv for a `.csv` suffix in any case, else jsonl."""
+    path = Path(path)
+    if format is None:
+        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
+    samples = tuple(_sample_from_record(record, where) for where, record in _records(path, format))
+    try:
+        return Corpus(samples, provenance={"source": str(path), "format": format})
+    except DataError as exc:  # a repeated id: name the second copy's line, found only now
+        seen: set[str] = set()
+        for where, record in _records(path, format):
+            if str(record["id"]) in seen:
+                raise DataError(f"{where}: {exc}") from None
+            seen.add(str(record["id"]))
+        raise
 
 
 def write_corpus(corpus: Corpus, path) -> None:
@@ -231,7 +243,7 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
 
     Every score must be a number in [0, 1]; nan and inf are rejected.
     """
-    rows: list[tuple[str, dict[str, float]]] = []
+    rows: dict[str, dict[str, float]] = {}
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -254,12 +266,9 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
                 for m, value in vector.items():
                     if not 0.0 <= value <= 1.0:  # also rejects nan
                         raise DataError(f"{path}:{lineno}: score {m} = {value} is not in [0, 1]")
-                rows.append((row[0], vector))
+                if row[0] in rows:
+                    raise DataError(f"{path}:{lineno}: duplicate result row for id {row[0]!r}")
+                rows[row[0]] = vector
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    seen: set[str] = set()
-    for sample_id, _ in rows:
-        if sample_id in seen:
-            raise DataError(f"{path}: duplicate result row for id {sample_id!r}")
-        seen.add(sample_id)
-    return rows
+    return list(rows.items())

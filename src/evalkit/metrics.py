@@ -473,15 +473,6 @@ def evaluate_pair(
     prediction: str, reference: str, language: str, cfg: MetricConfig
 ) -> MetricVector:
     """Compute the configured metric vector for one prediction/reference pair."""
-    return _score_pair(prediction, reference, language, cfg, None)
-
-
-def _score_pair(
-    prediction: str, reference: str, language: str, cfg: MetricConfig,
-    ca: concurrent.futures.Future | None,
-) -> MetricVector:
-    """evaluate_pair, taking CA from `ca`, a future of compilation_accuracy,
-    when one is given."""
     tok_cfg = cfg.tokenizer_for(language)
     pred = tokenize(prediction, tok_cfg)
     ref = tokenize(reference, tok_cfg)
@@ -504,11 +495,8 @@ def _score_pair(
         values["EM"] = float(exact_match(prediction, reference))
     if "ED" in wanted:
         values["ED"] = edit_distance_norm(prediction, reference)
-    if "CA" in wanted:
-        if ca is None:  # MetricConfig keeps CA only with a checker for every language
-            values["CA"] = float(compilation_accuracy(prediction, cfg.checker_for(language)))
-        else:
-            values["CA"] = float(ca.result())
+    if "CA" in wanted:  # MetricConfig keeps CA only with a checker for every language
+        values["CA"] = float(compilation_accuracy(prediction, cfg.checker_for(language)))
     return {name: values[name] for name in cfg.metrics}
 
 
@@ -517,34 +505,28 @@ def evaluate_sample(sample: Sample, cfg: MetricConfig) -> MetricVector:
     return evaluate_pair(sample.prediction, sample.reference, sample.language, cfg)
 
 
-def _external_checker(sample: Sample, cfg: MetricConfig) -> SyntaxChecker | None:
-    """The sample's CA checker if it runs an external command, else None."""
-    checker = cfg.checker_for(sample.language)
-    return checker if checker is not None and checker.kind == "external-command" else None
-
-
 def evaluate_corpus(
     corpus, cfg: MetricConfig, jobs: int = 1
 ) -> list[tuple[str, MetricVector]]:
     """Evaluate every sample; rows come back sorted by sample id.
 
-    Every metric is scored on the calling thread. jobs bounds how many
-    external-checker commands run at once: with jobs > 1, the CA checks of
-    the samples whose checker is an external command start up front in a pool
-    of jobs threads and run while this thread scores. Nothing else depends on
-    jobs, so the rows are the same for every value. A check or score that
-    raises cancels the checks not yet started.
+    Every sample is scored by `evaluate_sample` on the calling thread. jobs
+    bounds how many external-checker commands run at once: with jobs > 1,
+    CA wanted and a checker that runs an external command (for every
+    language, or for none), the CA checks start up front in a pool of jobs
+    threads, this thread scores the other metrics meanwhile, and each row
+    takes CA from its check. So the rows are the same for every jobs value. A
+    check or score that raises cancels the checks not yet started.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    checkers = []
-    if jobs > 1 and "CA" in cfg._wanted:
-        checkers = [_external_checker(s, cfg) for s in corpus]
-    if not any(checkers):
+    kinds = {checker.kind for checker in cfg._checkers.values() if checker is not None}
+    if jobs == 1 or "CA" not in cfg._wanted or "external-command" not in kinds:
         rows = [(s.id, evaluate_sample(s, cfg)) for s in corpus]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
+        rest = cfg._replace(metrics=cfg.metrics[1:])  # CA is CANONICAL_METRICS[0]
         pool = ThreadPoolExecutor(max_workers=jobs)
 
         def stop_on_error(check: concurrent.futures.Future) -> None:
@@ -556,16 +538,15 @@ def evaluate_corpus(
 
         try:
             checks = [
-                None if checker is None else pool.submit(compilation_accuracy, s.prediction, checker)
-                for s, checker in zip(corpus, checkers)
+                pool.submit(compilation_accuracy, s.prediction, cfg.checker_for(s.language))
+                for s in corpus
             ]
             for check in checks:
-                if check is not None:
-                    check.add_done_callback(stop_on_error)
-            rows = [
-                (s.id, _score_pair(s.prediction, s.reference, s.language, cfg, check))
-                for s, check in zip(corpus, checks)
-            ]
+                check.add_done_callback(stop_on_error)
+            rows = []
+            for s, check in zip(corpus, checks):
+                vector = evaluate_sample(s, rest)
+                rows.append((s.id, {"CA": float(check.result()), **vector}))
         finally:
             pool.shutdown(cancel_futures=True)
     rows.sort(key=lambda row: row[0])

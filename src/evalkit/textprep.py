@@ -188,10 +188,13 @@ def standardize(
     pos = 0
     while pos < len(intent):
         best: re.Match | None = None
-        for name, pattern in rules:
-            m = pattern.search(intent, pos)
-            if m is not None and (best is None or m.start() < best.start()):
-                best, rule = m, name
+        try:
+            for name, pattern in rules:
+                m = pattern.search(intent, pos)
+                if m is not None and (best is None or m.start() < best.start()):
+                    best, rule = m, name
+        except AttributeError:  # checked only on this path, so the scan pays nothing
+            raise TypeError(f"rule {name!r} is not compiled (see compile_rules)") from None
         if best is None:
             out.append(intent[pos:])
             break

@@ -263,9 +263,13 @@ class TestEval:
         assert "usage:" in err and "--jobs" in err
         assert not (tmp_path / "o").exists()
 
-    def test_external_checker_runs_in_a_pool_of_jobs_threads(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("metrics", [None, ["CA"], ["CA", "EM", "METEOR"]],
+                             ids=["all", "CA", "CA-EM-METEOR"])
+    def test_external_checker_runs_in_a_pool_of_jobs_threads(self, tmp_path, monkeypatch, metrics):
         records = [dict(GOOD[i % 3], id=f"s{i}") for i in range(9)]
         corpus = write_corpus_file(tmp_path, records)
+        config = tmp_path / "metrics.json"
+        config.write_text(json.dumps({} if metrics is None else {"metrics": metrics}))
         alive, log = tmp_path / "alive", tmp_path / "alive.log"
         alive.mkdir()
         # each checker process marks itself alive, logs how many are, and
@@ -283,13 +287,15 @@ class TestEval:
         monkeypatch.setattr(SyntaxChecker, "check", recording)
         out1, out3 = tmp_path / "o1", tmp_path / "o3"
         assert run("eval", "--corpus", corpus, "--out", out1, "--checker", checker,
-                   "--jobs", 1) == 0
+                   "--metrics-config", config, "--jobs", 1) == 0
         assert threads == {threading.get_ident()}
         threads.clear()
         assert run("eval", "--corpus", corpus, "--out", out3, "--checker", checker,
-                   "--jobs", 3) == 0
+                   "--metrics-config", config, "--jobs", 3) == 0
         assert threading.get_ident() not in threads and 1 <= len(threads) <= 3
         assert (out1 / "results.csv").read_bytes() == (out3 / "results.csv").read_bytes()
+        header = (out1 / "results.csv").read_text().splitlines()[0]
+        assert header == ",".join(["id", *(metrics or CANONICAL_METRICS)])
         ca = [line.split(",")[1] for line in (out1 / "results.csv").read_text().splitlines()[1:]]
         assert set(ca) == {"0.000000", "1.000000"}
         counts = [int(n) for n in log.read_text().split()]
@@ -402,6 +408,21 @@ class TestAnalyze:
                    "--out", out / "analysis")
         assert code == 2
         assert "labeled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("results_text, labeled, message", [
+        ("id,EM\na,1.000000\n", True, "no scores for sample id(s): b"),
+        ("id,EM\na,1.000000\nb,0.000000\n", False,
+         "no labeled samples: every sample is missing the sc field"),
+    ], ids=["missing-scores", "unlabeled"])
+    def test_corpus_and_results_that_do_not_fit_exit_2_naming_both(
+        self, tmp_path, capsys, results_text, labeled, message
+    ):
+        records = [r if labeled else {k: v for k, v in r.items() if k != "sc"} for r in GOOD[:2]]
+        corpus = write_corpus_file(tmp_path, records)
+        results = tmp_path / "results.csv"
+        results.write_text(results_text)
+        assert run("analyze", "--corpus", corpus, "--results", results, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {corpus} and {results}: {message}\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1.5", "-0.000001", "x", ""])
     def test_non_finite_or_out_of_range_score_exits_2(self, tmp_path, capsys, bad):
@@ -787,6 +808,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{config}:2:" in err and "UTF-8" in err
 
+
+    @pytest.mark.parametrize("command, flags, text, code, message", [
+        ("eval", ["--metrics-config"], '{"bogus": 1}\n', 1, "{config}: unknown config key(s): bogus"),
+        ("preprocess", ["--filter-stopwords"], "# only a comment\n", 1,
+         "stopword file {config} contains no words"),
+        ("preprocess", ["--rules"], "hex 0x\n", 1, "{config}:1: expected name=regex, got 'hex 0x'"),
+        ("preprocess", ["--destandardize", "--sidecar"], "[]\n", 2,
+         "{config}:1: expected an object with 'id' and 'map'"),
+    ], ids=["metrics-config", "stopwords", "rules", "sidecar"])
+    def test_a_config_file_is_read_before_the_corpus(self, tmp_path, capsys, command, flags, text,
+                                                     code, message):
+        # the corpus is bad too, but the configuration file's error is the one shown
+        corpus = write_corpus_file(tmp_path, [{k: v for k, v in GOOD[0].items() if k != "language"}])
+        config = tmp_path / "config.txt"
+        config.write_text(text)
+        assert run(command, "--corpus", corpus, "--out", tmp_path / "o", *flags, config) == code
+        assert capsys.readouterr().err == "error: " + message.format(config=config) + "\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, flags, text", [
         ("eval", ["--metrics-config"], '{"metrics": ["EM", "ED"]}\n'),

@@ -50,6 +50,22 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="s1"):
             load_corpus(path, "jsonl")
 
+    @pytest.mark.parametrize("name, text, where, sample_id", [
+        ("c.jsonl", "".join(json.dumps(r) + "\n" for r in GOOD[:2]) + "\n"
+         + json.dumps(dict(GOOD[2], id="s1")) + "\n", "c.jsonl:4", "s1"),
+        ("c.jsonl", json.dumps(dict(GOOD[0], id=7)) + "\n" + json.dumps(dict(GOOD[1], id="7")) + "\n",
+         "c.jsonl:2", "7"),
+        ("c.csv", "id,intent,reference,prediction,language\n"
+         's1,a,x,y,other\ns2,b,"x\ny",y,other\ns1,c,x,y,other\n', "c.csv:row 4", "s1"),
+    ], ids=["jsonl-after-a-blank-line", "jsonl-number-and-string", "csv-after-a-multiline-field"])
+    def test_duplicate_id_names_the_line_of_the_second_copy(self, tmp_path, name, text, where,
+                                                            sample_id):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{tmp_path / where}: duplicate sample id {sample_id!r}"
+
     def test_parse_error_reports_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "s1"}\nnot json\n', encoding="utf-8")
@@ -156,6 +172,7 @@ class TestResults:
 
     def test_duplicate_result_ids_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("id,EM\na,1.000000\na,0.000000\n", encoding="utf-8")
-        with pytest.raises(DataError, match="duplicate"):
+        path.write_text("id,EM\na,1.000000\nb,1.000000\na,0.000000\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
             load_results(path)
+        assert str(info.value) == f"{path}:4: duplicate result row for id 'a'"

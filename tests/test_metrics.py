@@ -595,27 +595,36 @@ class TestEvaluatePair:
 
 
 class TestEvaluateCorpus:
-    @pytest.mark.parametrize("cfg", [
-        MetricConfig(),
-        MetricConfig(checker="python"),
-        MetricConfig(metrics=("EM", "ED"), checker="cmd:false {file}"),
-    ], ids=["auto", "python", "external-checker-without-CA"])
-    def test_samples_score_on_the_calling_thread_for_every_jobs(self, mini_corpus, monkeypatch, cfg):
+    @pytest.mark.parametrize("cfg, pools", [
+        (MetricConfig(), 0),
+        (MetricConfig(checker="python"), 0),
+        (MetricConfig(metrics=("EM", "ED"), checker="cmd:false {file}"), 0),
+        (MetricConfig(checker="cmd:true {file}"), 1),
+    ], ids=["auto", "python", "external-checker-without-CA", "external-checker"])
+    def test_samples_score_on_the_calling_thread_for_every_jobs(
+        self, mini_corpus, monkeypatch, cfg, pools
+    ):
         threads = []
+        made = []
         original = metrics.evaluate_sample
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
         def recording(sample, cfg):
             threads.append(threading.get_ident())
             return original(sample, cfg)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was made with no external check to run")
+        def counted_pool(*args, **kwargs):
+            if not pools:
+                raise AssertionError("a thread pool was made with no external check to run")
+            made.append(args or kwargs)
+            return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(metrics, "evaluate_sample", recording)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
         serial = evaluate_corpus(mini_corpus, cfg, jobs=1)
-        assert evaluate_corpus(mini_corpus, cfg, jobs=4) == serial
+        assert evaluate_corpus(mini_corpus, cfg, jobs=3) == serial
         assert threads == [threading.get_ident()] * (2 * len(mini_corpus))
+        assert made == [{"max_workers": 3}] * pools
 
     @staticmethod
     def _failing_checks(monkeypatch, fails, slow=()):

@@ -209,6 +209,15 @@ class TestStandardize:
             standardize(intent, rules)
         assert str(info.value) == f"rule 'ctx': regex matches the empty string at offset {offset}"
 
+    @pytest.mark.parametrize("rules", [
+        [("r", r"\d")],
+        [*compile_rules([("hex", r"0x[0-9a-f]+")]), ("r", r"\d")],
+    ], ids=["alone", "after-a-compiled-rule"])
+    def test_uncompiled_rule_raises_type_error_naming_it(self, rules):
+        with pytest.raises(TypeError) as info:
+            standardize("x 1", rules)
+        assert str(info.value) == "rule 'r' is not compiled (see compile_rules)"
+
     def test_precompiled_pattern_keeps_flags(self):
         rule = compile_rules([("reg", re.compile(r"\beax\b", re.IGNORECASE))])
         text, smap = standardize("move EAX here", rule)
