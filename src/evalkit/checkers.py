@@ -185,8 +185,9 @@ class SyntaxChecker(Record):
             path.unlink(missing_ok=True)
 
 
-def _kill_group(proc: subprocess.Popen) -> None:
-    """Kill every process left in `proc`'s session group, then reap `proc`."""
+def _kill_group(proc) -> None:
+    """Kill every process left in the session group of `proc`, a
+    subprocess.Popen, then reap `proc`."""
     import signal
 
     try:

@@ -246,6 +246,7 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
     rows: dict[str, dict[str, float]] = {}
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
+        lineno = 1  # where the record being read starts; a quoted field may hold newlines
         try:
             header = next(reader, None)
             if header is None:
@@ -256,7 +257,8 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
                 if column in header[:k]:
                     raise DataError(f"{path}:1: column {column!r} appears twice in the header")
             metrics = header[1:]
-            for lineno, row in enumerate(reader, 2):
+            lineno = reader.line_num + 1
+            for row in reader:
                 if len(row) != len(header):
                     raise DataError(f"{path}:{lineno}: expected {len(header)} columns")
                 try:
@@ -269,6 +271,7 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
                 if row[0] in rows:
                     raise DataError(f"{path}:{lineno}: duplicate result row for id {row[0]!r}")
                 rows[row[0]] = vector
+                lineno = reader.line_num + 1
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return list(rows.items())

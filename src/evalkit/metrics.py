@@ -344,6 +344,18 @@ def _align_path(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int, str]
     return m, m - links, "exact"
 
 
+def _meteor_score(m: int, chunks: int, pred_len: int, ref_len: int, params: MeteorParams) -> float:
+    """METEOR of m matched tokens in `chunks` chunks between sequences of
+    pred_len and ref_len tokens."""
+    if m == 0:
+        return 0.0
+    p = m / pred_len
+    r = m / ref_len
+    fmean = p * r / (params.alpha * p + (1 - params.alpha) * r)
+    penalty = params.gamma * (chunks / m) ** params.beta
+    return fmean * (1.0 - penalty)
+
+
 def meteor(pred: Sequence[str], ref: Sequence[str], params: MeteorParams = MeteorParams()) -> float:
     """Unigram-alignment score with a fragmentation penalty.
 
@@ -352,20 +364,17 @@ def meteor(pred: Sequence[str], ref: Sequence[str], params: MeteorParams = Meteo
     gamma * (chunks / matches) ** beta.
     """
     m, chunks, _ = _align_path(pred, ref)
-    if m == 0:
-        return 0.0
-    p = m / len(pred)
-    r = m / len(ref)
-    fmean = p * r / (params.alpha * p + (1 - params.alpha) * r)
-    penalty = params.gamma * (chunks / m) ** params.beta
-    return fmean * (1.0 - penalty)
+    return _meteor_score(m, chunks, len(pred), len(ref), params)
+
+
+def _similarity(distance: int, longest: int) -> float:
+    """1 - distance/longest, where longest is the longer string's length."""
+    return 1.0 - distance / longest if longest else 1.0
 
 
 def edit_distance_norm(pred: str, ref: str) -> float:
     """1 - levenshtein/max(len); higher means more similar. Both empty -> 1."""
-    if not pred and not ref:
-        return 1.0
-    return 1.0 - levenshtein(pred, ref) / max(len(pred), len(ref))
+    return _similarity(levenshtein(pred, ref), max(len(pred), len(ref)))
 
 
 def _trim_trailing(text: str) -> str:
@@ -469,32 +478,52 @@ class MetricConfig(Record):
             raise ConfigError(f"no checker for language {language!r}") from None
 
 
+def _identical_counts(length: int) -> list[tuple[int, int, int]]:
+    """`_clipped(seq, seq, NGRAM_ORDERS)` for any seq of `length` tokens:
+    each of its windows is matched by itself."""
+    return [(w, w, w) for w in (max(length - n + 1, 0) for n in NGRAM_ORDERS)]
+
+
 def evaluate_pair(
     prediction: str, reference: str, language: str, cfg: MetricConfig
 ) -> MetricVector:
-    """Compute the configured metric vector for one prediction/reference pair."""
+    """Compute the configured metric vector for one prediction/reference pair.
+
+    Every score but CA is a formula over counts: n-gram matches, the LCS
+    length, METEOR's matches and chunks, the edit distance and the EM bit.
+    When prediction == reference those counts are known without a kernel or
+    an alignment, and the same formulas turn them into the same scores.
+    """
     tok_cfg = cfg.tokenizer_for(language)
     pred = tokenize(prediction, tok_cfg)
-    ref = tokenize(reference, tok_cfg)
+    same = prediction == reference
+    ref = pred if same else tokenize(reference, tok_cfg)
     wanted = cfg._wanted
 
     values: dict[str, float] = {}
     if "n-gram" in wanted:
-        counts = _clipped(pred, ref, NGRAM_ORDERS)
+        counts = _identical_counts(len(pred)) if same else _clipped(pred, ref, NGRAM_ORDERS)
         for names, order_counts in zip(_ROUGE_N_NAMES, counts):
             values.update(zip(names, _prf(*order_counts)))
         scores = _bleu_scores(counts, len(pred), len(ref), cfg.bleu_smoothing, cfg.bleu_epsilon)
         values.update(zip(_BLEU_NAMES, scores))
     if "ROUGE-L" in wanted:
-        values.update(zip(_ROUGE_L_NAMES, rouge_l(pred, ref)))
+        scores = _prf(len(pred), len(pred), len(ref)) if same else rouge_l(pred, ref)
+        values.update(zip(_ROUGE_L_NAMES, scores))
     if "METEOR" in wanted:
         m_pred = tokenize(prediction, cfg.meteor_tokenizer)
-        m_ref = tokenize(reference, cfg.meteor_tokenizer)
-        values["METEOR"] = meteor(m_pred, m_ref, cfg.meteor_params)
+        if same:  # every token matched, in one chunk: greedy's count, proven by chunks <= 1
+            m = len(m_pred)
+            values["METEOR"] = _meteor_score(m, min(m, 1), m, m, cfg.meteor_params)
+        else:
+            m_ref = tokenize(reference, cfg.meteor_tokenizer)
+            values["METEOR"] = meteor(m_pred, m_ref, cfg.meteor_params)
     if "EM" in wanted:
-        values["EM"] = float(exact_match(prediction, reference))
+        values["EM"] = 1.0 if same else float(exact_match(prediction, reference))
     if "ED" in wanted:
-        values["ED"] = edit_distance_norm(prediction, reference)
+        values["ED"] = (
+            _similarity(0, len(prediction)) if same else edit_distance_norm(prediction, reference)
+        )
     if "CA" in wanted:  # MetricConfig keeps CA only with a checker for every language
         values["CA"] = float(compilation_accuracy(prediction, cfg.checker_for(language)))
     return {name: values[name] for name in cfg.metrics}
@@ -529,7 +558,7 @@ def evaluate_corpus(
         rest = cfg._replace(metrics=cfg.metrics[1:])  # CA is CANONICAL_METRICS[0]
         pool = ThreadPoolExecutor(max_workers=jobs)
 
-        def stop_on_error(check: concurrent.futures.Future) -> None:
+        def stop_on_error(check) -> None:
             # only checks queued behind this one are still pending: the pool
             # starts checks in sample order and this thread reads them in that
             # order, so it meets this error before any cancelled check

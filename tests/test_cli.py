@@ -152,6 +152,55 @@ class TestEval:
         digest = hashlib.sha256((tmp_path / "out" / "results.csv").read_bytes()).hexdigest()
         assert digest == self.RESULTS_SHA256
 
+    # sha256 of results.csv for the corpus below under the default config and
+    # under epsilon smoothing, the same for --jobs 1 and 2: the bytes written
+    # when every pair went through the alignment and the kernels
+    IDENTICAL_SHA256 = {
+        "default": "23bd903103cbbff06a817380b0734c0e07ebb703ef0c5a2947bef21bd550c6ef",
+        "epsilon": "93bb42c5edd782dded06d4cf1ec3e17d49ce3222c6b1b2f6921f759cd1cc3d2c",
+        "external": "927265f214cedcaad25160aef188b32956d2bda2f8fd1028fce5eac34d1a9add",
+    }
+
+    @staticmethod
+    def _identical_records() -> list[dict]:
+        """Pairs whose prediction equals the reference: empty, whitespace-only,
+        one token, a repeated token, more than 16 tokens and multi-line
+        python-like; and near-identical pairs that differ only in trailing
+        whitespace or in LF against CRLF."""
+        asm = "mov eax, 1 ; push ebx , pop ecx xor eax eax int 0x80 ret [esp+4] dword ( x ) + 1"
+        python = "def f(a):\n    x = 'it\\'s'\n    if x:\n        return a\n    print(x, [1, 2])"
+        same = ["", " ", "\t \f\v", "\n", "\n\n", "\r", "\r\n", " \r\n \n", "ret", "ret\n",
+                "x", "0x80", "(", "int int", "push push push push push", "a\na\na\na\na",
+                asm, asm.replace(" ", "\n"), asm + "\r\n" + asm, " ".join(["nop"] * 40),
+                python, python.replace("\n", "\r\n"), python.replace("\n", "\r"),
+                python + "\n", "\n".join([python] * 3), "s = \"a\\\"b\\\\\"\n\tz = {'k': 1}"]
+        near = [("ret ", "ret"), ("mov eax, 1\t\nret", "mov eax, 1\nret"), ("x\n", "x"),
+                ("a \n b ", "a\n b"), ("mov eax, 1\r\nret", "mov eax, 1\nret"),
+                (python.replace("\n", "\r\n"), python), ("\r\n", "\n"), ("", " ")]
+        records = []
+        for k, text in enumerate(same):
+            for language in ("assembly", "python-like"):
+                records.append({"id": f"same{k:02d}-{language}", "reference": text,
+                                "prediction": text, "language": language})
+        for k, (prediction, reference) in enumerate(near):
+            records.append({"id": f"near{k:02d}", "reference": reference,
+                            "prediction": prediction, "language": "python-like"})
+        return [dict(r, intent="i", sc=k % 2) for k, r in enumerate(records)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_identical_pairs_results_bytes_pinned(self, tmp_path, jobs):
+        corpus = write_corpus_file(tmp_path, self._identical_records())
+        config = tmp_path / "epsilon.json"
+        config.write_text('{"bleu": {"smoothing": "epsilon"}}')
+        # with --jobs 2, an external checker sends CA to the thread pool and
+        # the other metrics to the scorer without CA
+        for name, extra in (("default", ()), ("epsilon", ("--metrics-config", config)),
+                            ("external", ("--checker", "cmd:test -s {file}"))):
+            out = tmp_path / name
+            assert run("eval", "--corpus", corpus, "--out", out, "--jobs", jobs, *extra) == 0
+            digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+            assert digest == self.IDENTICAL_SHA256[name], name
+
     def test_rows_sorted_by_id_even_with_jobs(self, tmp_path):
         records = [dict(GOOD[0], id=f"z{9 - i}") for i in range(3)]
         corpus = write_corpus_file(tmp_path, records)

@@ -176,3 +176,23 @@ class TestResults:
         with pytest.raises(DataError) as info:
             load_results(path)
         assert str(info.value) == f"{path}:4: duplicate result row for id 'a'"
+
+    def test_messages_name_the_line_where_the_record_starts(self, tmp_path):
+        # the id of the first row holds a newline, so the second row is on line 4
+        path = tmp_path / "r.csv"
+        path.write_text('id,EM\n"a\nb",1.000000\nc,2.0\n', encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_results(path)
+        assert str(info.value) == f"{path}:4: score EM = 2.0 is not in [0, 1]"
+
+    def test_csv_error_names_the_line_where_the_record_starts(self, tmp_path):
+        # the third record starts on line 4 and passes the field limit on line 7
+        path = tmp_path / "r.csv"
+        path.write_text('id,EM\n"a\nb",1.000000\n"c\n\n\nlong id",1.0\n', encoding="utf-8")
+        limit = csv.field_size_limit(8)
+        try:
+            with pytest.raises(DataError) as info:
+                load_results(path)
+        finally:
+            csv.field_size_limit(limit)
+        assert str(info.value).startswith(f"{path}:4: field larger than field limit")

@@ -1,4 +1,5 @@
-"""Every module-level name in evalkit is used somewhere.
+"""Every module-level name in evalkit is used somewhere, and every name an
+annotation reads is defined.
 
 A def, class or assignment at the top level of a `src/evalkit` module must be
 named again, outside its own statement, in `src/`, `tests/` or `perfbench/`.
@@ -10,6 +11,7 @@ comment does not count.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 import tokenize
 from collections import defaultdict
@@ -68,3 +70,32 @@ def test_every_module_level_name_is_named_again():
             ):
                 dead.append(f"{module.relative_to(ROOT)}:{first}: {name}")
     assert dead == []
+
+
+def test_every_annotation_reads_module_level_names():
+    # the package postpones annotations, and typing.get_type_hints evaluates
+    # one in its module's globals, nested functions' annotations included
+    undefined = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        bound = set(dir(builtins))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        bound.update(name for name, _, _ in _definitions(module))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                every = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                notes = [arg.annotation for arg in every if arg is not None] + [node.returns]
+            elif isinstance(node, ast.AnnAssign):
+                notes = [node.annotation]
+            else:
+                continue
+            for note in filter(None, notes):
+                undefined.extend(
+                    f"{module.relative_to(ROOT)}:{name.lineno}: {name.id}"
+                    for name in ast.walk(note)
+                    if isinstance(name, ast.Name) and name.id not in bound
+                )
+    assert undefined == []
