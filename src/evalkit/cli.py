@@ -33,7 +33,6 @@ from .corpus import (
 from .errors import ConfigError, DataError, EvalkitError
 from .metrics import (
     CANONICAL_METRICS,
-    DEFAULT_BLEU_EPSILON,
     MeteorParams,
     MetricConfig,
     evaluate_corpus,
@@ -85,8 +84,9 @@ def _record(cls, obj, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _config_kwargs(obj) -> dict:
-    """MetricConfig keyword arguments from a parsed metrics config file."""
+def _config_kwargs(obj, cfg: MetricConfig) -> dict:
+    """MetricConfig keyword arguments from a parsed metrics config file; a
+    tokenizer it does not set is that of `cfg`."""
     allowed = {"metrics", "tokenizers", "meteor_tokenizer", "bleu", "meteor"}
     unknown = set(_object(obj, "the top level")) - allowed
     if unknown:
@@ -95,7 +95,7 @@ def _config_kwargs(obj) -> dict:
     if "metrics" in obj:
         kwargs["metrics"] = obj["metrics"]
     if "tokenizers" in obj:
-        base = dict(MetricConfig().tokenizers)
+        base = dict(cfg.tokenizers)
         for language, tok in _object(obj["tokenizers"], "tokenizers").items():
             base[language] = _record(TokenizerConfig, tok, f"tokenizers.{language}")
         kwargs["tokenizers"] = base
@@ -108,10 +108,10 @@ def _config_kwargs(obj) -> dict:
         bad = set(bleu) - {"smoothing", "epsilon"}
         if bad:
             raise ConfigError(f"unknown bleu option(s): {', '.join(sorted(bad))}")
-        smoothing = kwargs["bleu_smoothing"] = bleu.get("smoothing", "none")
+        smoothing = bleu.get("smoothing", "none")
         if "epsilon" in bleu and smoothing != "epsilon":  # it would change no score
             raise ConfigError(f'bleu epsilon needs "smoothing": "epsilon", got {json.dumps(smoothing)}')
-        kwargs["bleu_epsilon"] = bleu.get("epsilon", DEFAULT_BLEU_EPSILON)
+        kwargs.update({f"bleu_{key}": value for key, value in bleu.items()})
     if "meteor" in obj:
         kwargs["meteor_params"] = _record(MeteorParams, obj["meteor"], "meteor")
     return kwargs
@@ -121,23 +121,20 @@ def load_metric_config(path: str | None, checker: str | None = None) -> MetricCo
     """Build a MetricConfig from a JSON file and a checker selector (None
     meaning auto).
 
-    A problem with the file's contents raises ConfigError naming the file.
+    A problem with the file's contents raises ConfigError naming the file;
+    a missing file raises FileNotFoundError, as every input file does.
     """
     checker = "auto" if checker is None else checker
     cfg = MetricConfig(checker=checker)  # so a bad --checker is not reported as the file's
     if path is None:
         return cfg
-    try:
-        with open_utf8(path) as fh:
+    with open_utf8(path, error=ConfigError) as fh:
+        try:
             obj = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"metrics config not found: {path}") from None
-    except DataError as exc:
-        raise ConfigError(str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     try:
-        kwargs = _config_kwargs(obj)
+        kwargs = _config_kwargs(obj, cfg)
         cfg = MetricConfig(**kwargs, checker=checker)
         if "CA" in kwargs.get("metrics", ()) and checker == "none":  # CA would be dropped
             raise ConfigError("metrics: CA needs a checker, but --checker is none")
@@ -218,17 +215,17 @@ def cmd_analyze(args) -> int:
 def _load_sidecar(path: Path) -> dict[str, StandardizationMap]:
     """Read a standardization sidecar: one {"id": ..., "map": {...}} per line."""
     maps: dict[str, StandardizationMap] = {}
-    for where, record in _json_lines(path):
+    for line, record in _json_lines(path):
         if not (isinstance(record, dict) and isinstance(record.get("id"), str)
                 and "map" in record):
-            raise DataError(f"{where}: expected an object with 'id' and 'map'")
+            raise DataError(f"{path}:{line}: expected an object with 'id' and 'map'")
         smap = record["map"]
         if not isinstance(smap, dict) or not all(isinstance(v, str) for v in smap.values()):
-            raise DataError(f"{where}: 'map' must be an object of placeholder -> literal")
+            raise DataError(f"{path}:{line}: 'map' must be an object of placeholder -> literal")
         try:
             maps[record["id"]] = StandardizationMap(tuple(smap.items()))
         except ValueError as exc:
-            raise DataError(f"{where}: {exc}") from None
+            raise DataError(f"{path}:{line}: {exc}") from None
     return maps
 
 
@@ -250,13 +247,14 @@ def cmd_preprocess(args) -> int:
         stopwords = args.filter_stopwords  # None: keep them; True: the built-in list
         if stopwords is not None:
             stopwords = default_stopwords() if stopwords is True else load_stopwords(stopwords)
+        whitespace = TokenizerConfig(mode="whitespace")
         corpus = load_corpus(args.corpus)
         sidecar_path.parent.mkdir(parents=True, exist_ok=True)
         with open(sidecar_path, "w", encoding="utf-8", newline="\n") as side:
             for s in corpus:
                 intent = s.intent
                 if stopwords is not None:
-                    seq = tokenize(intent, TokenizerConfig(mode="whitespace"))
+                    seq = tokenize(intent, whitespace)
                     intent = " ".join(filter_stopwords(seq, stopwords))
                 intent, smap = standardize(intent, rules)
                 side.write(_to_json({"id": s.id, "map": dict(smap.entries)}) + "\n")

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from ._record import Record
-from .errors import DataError
+from .errors import DataError, EvalkitError
 
 LANGUAGES = ("assembly", "python-like", "other")
 
@@ -83,36 +83,34 @@ class Corpus(Record):
 _REQUIRED = tuple(name for name in Sample._fields if name != "sc")
 
 
-def _sample_from_record(record: Mapping, where: str) -> Sample:
+def _sample_from_record(record: Mapping, path, line: int) -> Sample:
     fields = {}
     for key in _REQUIRED:
         value = record.get(key)
         if value is None:
-            raise DataError(f"{where}: missing field {key!r}")
+            raise DataError(f"{path}:{line}: missing field {key!r}")
         fields[key] = str(value)
-    where = f"{where} (sample {record['id']!r})"
-    sc = record.get("sc")
-    if isinstance(sc, str):
-        sc = sc.strip() or None
-    if sc is not None:
-        try:
-            label = int(sc)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
-            label = None
-        if label not in (0, 1) or (isinstance(sc, float) and sc != label):
-            raise DataError(f"{where}: invalid sc {record['sc']!r}")
-        sc = label
-    fields["sc"] = sc
     try:
-        return Sample(**fields)
+        sc = record.get("sc")
+        if isinstance(sc, str):
+            sc = sc.strip() or None
+        if sc is not None:
+            try:
+                label = int(sc)
+            except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
+                label = None
+            if label not in (0, 1) or (isinstance(sc, float) and sc != label):
+                raise DataError(f"invalid sc {record['sc']!r}")
+            sc = label
+        return Sample(**fields, sc=sc)
     except DataError as exc:
-        raise DataError(f"{where}: {exc}") from None
+        raise DataError(f"{path}:{line} (sample {record['id']!r}): {exc}") from None
 
 
-def open_utf8(path, newline: str | None = None) -> io.StringIO:
+def open_utf8(path, newline: str | None = None, error: type[EvalkitError] = DataError) -> io.StringIO:
     """The text of a UTF-8 file as a stream, as `open(path, encoding="utf-8",
     newline=newline)` reads it, except that a leading byte-order mark is
-    dropped and a byte sequence that is not UTF-8 raises DataError naming the
+    dropped and a byte sequence that is not UTF-8 raises `error` naming the
     path and line."""
     # not the utf-8-sig codec: its error offsets do not count the mark
     data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
@@ -120,7 +118,7 @@ def open_utf8(path, newline: str | None = None) -> io.StringIO:
         return io.StringIO(data.decode("utf-8"), newline=newline)
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+        raise error(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
 
 
 # json.dumps(value, ensure_ascii=False), without building an encoder per call
@@ -128,46 +126,59 @@ _to_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _json_lines(path):
-    """(`path:line`, value) for each nonblank line of a JSON-lines file; a line
+    """(line number, value) for each nonblank line of a JSON-lines file; a line
     that does not parse, or a string in it that holds a lone surrogate (which
     no UTF-8 file can hold, so no output could), raises DataError naming it."""
     with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+        for line, text in enumerate(fh, 1):
+            if not text.strip():
                 continue
-            where = f"{path}:{lineno}"
             try:
-                value = json.loads(line)
-                if "\\u" in line:  # only an escape decodes to a surrogate
+                value = json.loads(text)
+                if "\\u" in text:  # only an escape decodes to a surrogate
                     _to_json(value).encode("utf-8")
             except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: JSON parse error: {exc}") from None
+                raise DataError(f"{path}:{line}: JSON parse error: {exc}") from None
             except UnicodeEncodeError as exc:
                 char = exc.object[exc.start]
-                raise DataError(f"{where}: a string holds the lone surrogate {char!r}") from None
-            yield where, value
+                raise DataError(f"{path}:{line}: a string holds the lone surrogate {char!r}") from None
+            yield line, value
+
+
+def _csv_rows(path):
+    """(line number, fields) for each row of a CSV file, numbered by the line
+    where the row starts, since a quoted field may hold newlines; a row that
+    does not parse raises DataError naming that line."""
+    with open_utf8(path, newline="") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        try:
+            for row in reader:
+                yield line, row
+                line = reader.line_num + 1
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise DataError(f"{path}:{line}: {exc}") from None
 
 
 def _records(path: Path, format: str):
-    """(`path:line` or `path:row n`, record) for each record of a corpus file."""
+    """(line number, record) for each record of a corpus file, numbered by
+    the line where the record starts."""
     if format == "jsonl":
-        for where, record in _json_lines(path):
+        for line, record in _json_lines(path):
             if not isinstance(record, dict):
-                raise DataError(f"{where}: expected an object per line")
-            yield where, record
+                raise DataError(f"{path}:{line}: expected an object per line")
+            yield line, record
     elif format == "csv":
-        with open_utf8(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            try:
-                if reader.fieldnames is None:
-                    raise DataError(f"{path}:1: empty CSV file")
-                missing = set(_REQUIRED) - set(reader.fieldnames)
-                if missing:
-                    raise DataError(f"{path}:1: missing columns: {', '.join(sorted(missing))}")
-                for rownum, row in enumerate(reader, 2):
-                    yield f"{path}:row {rownum}", row
-            except csv.Error as exc:  # such as a field over csv.field_size_limit()
-                raise DataError(f"{path}:{reader.reader.line_num}: {exc}") from None
+        rows = _csv_rows(path)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise DataError(f"{path}:1: empty CSV file")
+        missing = set(_REQUIRED) - set(header)
+        if missing:
+            raise DataError(f"{path}:1: missing columns: {', '.join(sorted(missing))}")
+        for line, row in rows:
+            if row:  # a blank line holds no record
+                yield line, dict(zip(header, row))
     else:
         raise DataError(f"unknown corpus format {format!r} (expected jsonl or csv)")
 
@@ -178,14 +189,14 @@ def load_corpus(path, format: str | None = None) -> Corpus:
     path = Path(path)
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    samples = tuple(_sample_from_record(record, where) for where, record in _records(path, format))
+    samples = tuple(_sample_from_record(record, path, line) for line, record in _records(path, format))
     try:
         return Corpus(samples, provenance={"source": str(path), "format": format})
     except DataError as exc:  # a repeated id: name the second copy's line, found only now
         seen: set[str] = set()
-        for where, record in _records(path, format):
+        for line, record in _records(path, format):
             if str(record["id"]) in seen:
-                raise DataError(f"{where}: {exc}") from None
+                raise DataError(f"{path}:{line}: {exc}") from None
             seen.add(str(record["id"]))
         raise
 
@@ -244,34 +255,27 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
     Every score must be a number in [0, 1]; nan and inf are rejected.
     """
     rows: dict[str, dict[str, float]] = {}
-    with open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        lineno = 1  # where the record being read starts; a quoted field may hold newlines
+    lines = _csv_rows(path)
+    _, header = next(lines, (1, None))
+    if header is None:
+        raise DataError(f"{path}:1: empty results file")
+    if not header or header[0] != "id":
+        raise DataError(f"{path}:1: malformed results header")
+    for k, column in enumerate(header):
+        if column in header[:k]:
+            raise DataError(f"{path}:1: column {column!r} appears twice in the header")
+    metrics = header[1:]
+    for line, row in lines:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{line}: expected {len(header)} columns")
         try:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}:1: empty results file")
-            if not header or header[0] != "id":
-                raise DataError(f"{path}:1: malformed results header")
-            for k, column in enumerate(header):
-                if column in header[:k]:
-                    raise DataError(f"{path}:1: column {column!r} appears twice in the header")
-            metrics = header[1:]
-            lineno = reader.line_num + 1
-            for row in reader:
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected {len(header)} columns")
-                try:
-                    vector = {m: float(v) for m, v in zip(metrics, row[1:])}
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad score: {exc}") from None
-                for m, value in vector.items():
-                    if not 0.0 <= value <= 1.0:  # also rejects nan
-                        raise DataError(f"{path}:{lineno}: score {m} = {value} is not in [0, 1]")
-                if row[0] in rows:
-                    raise DataError(f"{path}:{lineno}: duplicate result row for id {row[0]!r}")
-                rows[row[0]] = vector
-                lineno = reader.line_num + 1
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+            vector = {m: float(v) for m, v in zip(metrics, row[1:])}
+        except ValueError as exc:
+            raise DataError(f"{path}:{line}: bad score: {exc}") from None
+        for m, value in vector.items():
+            if not 0.0 <= value <= 1.0:  # also rejects nan
+                raise DataError(f"{path}:{line}: score {m} = {value} is not in [0, 1]")
+        if row[0] in rows:
+            raise DataError(f"{path}:{line}: duplicate result row for id {row[0]!r}")
+        rows[row[0]] = vector
     return list(rows.items())

@@ -238,78 +238,6 @@ def _align_greedy(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
     return matches, chunks
 
 
-def _most_links(
-    pred: str,
-    ref: str,
-    longest: list[int],
-    reach: list[int],
-    matches: int,
-    a: int,
-    links: int,
-    segments: list[str],
-    ends: list[float],
-    best: int,
-    searched: set[tuple[int, tuple[str, ...]]],
-) -> int:
-    """Most links over the sets of disjoint reference segments that extend the
-    chosen `segments` with segments starting at ref position a or later, by
-    depth-first branch and bound; `best` is the incumbent, at least `links`.
-
-    pred and ref spell one character per token. A segment of w tokens placed
-    on an equal, disjoint stretch of pred gives w - 1 links. ends[mask] is the
-    earliest end of a disjoint placement of the segments whose bits are set in
-    mask, or inf if there is none. For a fixed order in pred, placing each
-    segment at its first start at or after the previous one's end is optimal,
-    so ends[mask] is the least, over the segment placed last, of that
-    segment's first start at or after ends[mask without it], plus w. The
-    search tries the segments at a longest first (longest[a] tokens is the
-    longest that occurs in pred), then skips a. reach[a], the most links from
-    a on with overlaps in pred ignored, prunes it. The ends, the links and the
-    chunk bound of a set depend only on its multiset of segments, so a try
-    whose next position and segments, sorted, are in `searched` is skipped:
-    the incumbent already holds the best it can reach.
-    """
-    # a set of s segments leaves at least s chunks of the m matches
-    most = matches - len(segments) - 1
-    while best < min(most, links + reach[a]):
-        size = len(ends)
-        for w in range(longest[a], 1, -1):
-            if links + w - 1 + reach[a + w] <= best:
-                continue
-            segment = ref[a : a + w]
-            segments.append(segment)
-            key = (a + w, tuple(sorted(segments)))
-            if key in searched:
-                segments.pop()
-                continue
-            searched.add(key)
-            for mask in range(size):
-                end = ends[mask]
-                if end != math.inf:
-                    start = pred.find(segment, end)
-                    end = start + w if start >= 0 else math.inf
-                    rest = mask
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        other = segments[low.bit_length() - 1]
-                        before = ends[mask ^ low | size]
-                        if before + len(other) < end:
-                            start = pred.find(other, before)
-                            if start >= 0 and start + len(other) < end:
-                                end = start + len(other)
-                ends.append(end)
-            if ends[-1] != math.inf:
-                best = _most_links(
-                    pred, ref, longest, reach, matches, a + w, links + w - 1, segments, ends,
-                    max(best, links + w - 1), searched,
-                )
-            del ends[size:]
-            segments.pop()
-        a += 1
-    return best
-
-
 def _align_path(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int, str]:
     """Exact-match unigram alignment: (match count, chunk count, path).
 
@@ -327,6 +255,14 @@ def _align_path(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int, str]
     # one chunk or none meets m - 1 without counting the bigrams.
     if chunks <= 1 or m - chunks >= min(m - 1, _clipped(pred, ref, (2,))[0][0]):
         return m, chunks, "greedy-proven"
+    return m, _fewest_chunks(pred, ref, m, chunks), "exact"
+
+
+def _fewest_chunks(pred: Sequence[str], ref: Sequence[str], m: int, chunks: int) -> int:
+    """The fewest chunks of an alignment of pred and ref with m matches, by
+    exact search; `chunks` is the count of a greedy one, the first incumbent.
+    Apart from `_align_path`, so that a pair the greedy alignment settles
+    makes none of the search's closure cells."""
     # one character per reference token, and "\0" for any other token, so
     # that str.find locates segments
     codes = {tok: chr(i) for i, tok in enumerate(dict.fromkeys(ref), 1)}
@@ -340,8 +276,71 @@ def _align_path(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int, str]
             w += 1
         longest[a] = w
         reach[a] = max([reach[a + 1]] + [v - 1 + reach[a + v] for v in range(2, w + 1)])
-    links = _most_links(pred_text, ref_text, longest, reach, m, 0, 0, [], [0], m - chunks, set())
-    return m, m - links, "exact"
+    segments: list[str] = []
+    ends: list[float] = [0]
+    searched: set[tuple[int, tuple[str, ...]]] = set()
+
+    def most_links(a: int, links: int, best: int) -> int:
+        """Most links over the sets of disjoint reference segments that extend
+        the chosen `segments` with segments starting at ref position a or
+        later, by depth-first branch and bound; `best` is the incumbent, at
+        least `links`.
+
+        pred_text and ref_text spell one character per token. A segment of w
+        tokens placed on an equal, disjoint stretch of pred gives w - 1 links.
+        ends[mask] is the earliest end of a disjoint placement of the segments
+        whose bits are set in mask, or inf if there is none. For a fixed order
+        in pred, placing each segment at its first start at or after the
+        previous one's end is optimal, so ends[mask] is the least, over the
+        segment placed last, of that segment's first start at or after
+        ends[mask without it], plus w. The search tries the segments at a
+        longest first (longest[a] tokens is the longest that occurs in pred),
+        then skips a. reach[a], the most links from a on with overlaps in pred
+        ignored, prunes it. The ends, the links and the chunk bound of a set
+        depend only on its multiset of segments, so a try whose next position
+        and segments, sorted, are in `searched` is skipped: the incumbent
+        already holds the best it can reach.
+        """
+        # a set of s segments leaves at least s chunks of the m matches
+        most = m - len(segments) - 1
+        while best < min(most, links + reach[a]):
+            size = len(ends)
+            for w in range(longest[a], 1, -1):
+                if links + w - 1 + reach[a + w] <= best:
+                    continue
+                segment = ref_text[a : a + w]
+                segments.append(segment)
+                key = (a + w, tuple(sorted(segments)))
+                if key in searched:
+                    segments.pop()
+                    continue
+                searched.add(key)
+                for mask in range(size):
+                    end = ends[mask]
+                    if end != math.inf:
+                        start = pred_text.find(segment, end)
+                        end = start + w if start >= 0 else math.inf
+                        rest = mask
+                        while rest:
+                            low = rest & -rest
+                            rest ^= low
+                            other = segments[low.bit_length() - 1]
+                            before = ends[mask ^ low | size]
+                            if before + len(other) < end:
+                                start = pred_text.find(other, before)
+                                if start >= 0 and start + len(other) < end:
+                                    end = start + len(other)
+                    ends.append(end)
+                if ends[-1] != math.inf:
+                    best = most_links(a + w, links + w - 1, max(best, links + w - 1))
+                del ends[size:]
+                segments.pop()
+            a += 1
+        return best
+
+    links = most_links(0, 0, m - chunks)
+    del most_links  # it refers to itself: a cycle the collector would have to free
+    return m - links
 
 
 def _meteor_score(m: int, chunks: int, pred_len: int, ref_len: int, params: MeteorParams) -> float:

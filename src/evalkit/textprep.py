@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ._record import Record
 from .corpus import open_utf8
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 TOKENIZER_MODES = ("whitespace", "code-punct")
 
@@ -69,19 +69,10 @@ def tokenize(text: str, cfg: TokenizerConfig) -> tuple[str, ...]:
     return tuple(_TOKEN_PATTERNS[cfg.mode, cfg.newline_is_token].findall(text))
 
 
-def _open_config(path):
-    """`open_utf8` for a configuration file: a byte sequence that is not
-    UTF-8 raises ConfigError naming the path and line."""
-    try:
-        return open_utf8(path)
-    except DataError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def load_stopwords(path) -> frozenset[str]:
     """Read a stopword file: one word per line, '#' starting a comment; the
     words come back lowercased. A file with no words raises ConfigError."""
-    with _open_config(path) as fh:
+    with open_utf8(path, error=ConfigError) as fh:
         words = frozenset(w for line in fh if (w := line.split("#", 1)[0].strip().lower()))
     if not words:
         raise ConfigError(f"stopword file {path} contains no words")
@@ -143,7 +134,7 @@ def compile_rules(
 def load_rules(path) -> list[tuple[str, re.Pattern]]:
     """Read an ordered name=regex rules file ('#' starts a comment line)."""
     rules = []
-    with _open_config(path) as fh:
+    with open_utf8(path, error=ConfigError) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

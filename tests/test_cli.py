@@ -214,6 +214,7 @@ class TestEval:
         code = run("eval", "--corpus", corpus, "--out", tmp_path / "o",
                    "--metrics-config", tmp_path / "nope.json")
         assert code == 1
+        assert capsys.readouterr().err == f"error: file not found: {tmp_path / 'nope.json'}\n"
 
     def test_bad_config_keys_exit_1(self, tmp_path, capsys):
         corpus = write_corpus_file(tmp_path, GOOD)
@@ -389,8 +390,11 @@ class TestEval:
          "missing columns: language"),
         ("corpus.csv", 'id,intent,reference,prediction,sc,language\na,"%s",r,p,1,other\n'
          % ("x" * (2**17 + 1)), 2, "field larger than field limit"),
+        ("corpus.csv", 'id,intent,reference,prediction,sc,language\na,"x\ny\nz",r,p,1,other\n'
+         "\nb,i,r,p,2,other\n", 6, "(sample 'b'): invalid sc '2'"),
     ], ids=["jsonl-parse-error", "jsonl-not-an-object", "jsonl-invalid-sc", "jsonl-infinite-sc",
-            "csv-empty", "csv-missing-column", "csv-field-over-the-limit"])
+            "csv-empty", "csv-missing-column", "csv-field-over-the-limit",
+            "csv-invalid-sc-after-a-multiline-field"])
     def test_bad_corpus_exits_2_naming_file_and_line(self, tmp_path, capsys, name, text, line,
                                                      message):
         corpus = tmp_path / name

@@ -56,7 +56,7 @@ class TestLoadCorpus:
         ("c.jsonl", json.dumps(dict(GOOD[0], id=7)) + "\n" + json.dumps(dict(GOOD[1], id="7")) + "\n",
          "c.jsonl:2", "7"),
         ("c.csv", "id,intent,reference,prediction,language\n"
-         's1,a,x,y,other\ns2,b,"x\ny",y,other\ns1,c,x,y,other\n', "c.csv:row 4", "s1"),
+         's1,a,x,y,other\ns2,b,"x\ny",y,other\ns1,c,x,y,other\n', "c.csv:5", "s1"),
     ], ids=["jsonl-after-a-blank-line", "jsonl-number-and-string", "csv-after-a-multiline-field"])
     def test_duplicate_id_names_the_line_of_the_second_copy(self, tmp_path, name, text, where,
                                                             sample_id):

@@ -2,8 +2,10 @@
 
 Small valid input files get bytes inserted, deleted or cut off, or go
 missing, and `eval`, `analyze` or `preprocess` runs on them through `main`,
-in-process. The `--checker` values are the builtin ones and malformed `cmd:`
-templates, which are rejected before a command starts, so no process runs.
+in-process. A data error (exit 2) prints one `error: ` line, which names one
+of the input files. The `--checker` values are the builtin ones and
+malformed `cmd:` templates, which are rejected before a command starts, so
+no process runs.
 """
 
 from __future__ import annotations
@@ -156,3 +158,7 @@ def test_malformed_inputs_exit_with_a_code_not_a_traceback(argv, changes, missin
                 (root / name).write_bytes(mutate(text.encode("utf-8"), changes[name]))
         code, err = run_on(root, argv)
         assert code in (0, 1, 2, 3), (code, err)
+        if code == 2:  # a data error: one message, naming the input file at fault
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1, err
+            assert any(str(root / name) in errors[0] for name in FILES if name in argv), err
