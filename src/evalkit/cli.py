@@ -65,19 +65,21 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extra
 
 
-def _object(value, where: str) -> dict:
-    """`value` if it is a JSON object, else a ConfigError naming `where`."""
+def _object(value, where: str, keys=None, what: str | None = None) -> dict:
+    """`value` if it is a JSON object with no key outside `keys` (when given),
+    else a ConfigError naming `where`, or `what` for an unknown key."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object, got {json.dumps(value)}")
+    unknown = set(value).difference(value if keys is None else keys)
+    if unknown:
+        raise ConfigError(f"unknown {what or where + ' option(s)'}: {', '.join(sorted(unknown))}")
     return value
 
 
 def _record(cls, obj, where: str):
     """`cls(**obj)` for a JSON object whose keys are fields of `cls`; a bad key
     or value raises ConfigError naming `where`."""
-    unknown = set(_object(obj, where)) - set(cls._fields)
-    if unknown:
-        raise ConfigError(f"unknown {where} option(s): {', '.join(sorted(unknown))}")
+    _object(obj, where, cls._fields)
     try:
         return cls(**obj)
     except ConfigError as exc:
@@ -87,10 +89,8 @@ def _record(cls, obj, where: str):
 def _config_kwargs(obj, cfg: MetricConfig) -> dict:
     """MetricConfig keyword arguments from a parsed metrics config file; a
     tokenizer it does not set is that of `cfg`."""
-    allowed = {"metrics", "tokenizers", "meteor_tokenizer", "bleu", "meteor"}
-    unknown = set(_object(obj, "the top level")) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    keys = ("metrics", "tokenizers", "meteor_tokenizer", "bleu", "meteor")
+    _object(obj, "the top level", keys, "config key(s)")
     kwargs: dict = {}
     if "metrics" in obj:
         kwargs["metrics"] = obj["metrics"]
@@ -104,10 +104,7 @@ def _config_kwargs(obj, cfg: MetricConfig) -> dict:
             TokenizerConfig, obj["meteor_tokenizer"], "meteor_tokenizer"
         )
     if "bleu" in obj:
-        bleu = _object(obj["bleu"], "bleu")
-        bad = set(bleu) - {"smoothing", "epsilon"}
-        if bad:
-            raise ConfigError(f"unknown bleu option(s): {', '.join(sorted(bad))}")
+        bleu = _object(obj["bleu"], "bleu", ("smoothing", "epsilon"))
         smoothing = bleu.get("smoothing", "none")
         if "epsilon" in bleu and smoothing != "epsilon":  # it would change no score
             raise ConfigError(f'bleu epsilon needs "smoothing": "epsilon", got {json.dumps(smoothing)}')
@@ -138,6 +135,8 @@ def load_metric_config(path: str | None, checker: str | None = None) -> MetricCo
         cfg = MetricConfig(**kwargs, checker=checker)
         if "CA" in kwargs.get("metrics", ()) and checker == "none":  # CA would be dropped
             raise ConfigError("metrics: CA needs a checker, but --checker is none")
+        if not cfg.metrics:  # results.csv would hold only ids
+            raise ConfigError("metrics: the list is empty")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return cfg
@@ -189,8 +188,12 @@ def cmd_analyze(args) -> int:
 
     corpus = load_corpus(args.corpus)
     results = load_results(args.results)
-    if results and not set(CANONICAL_METRICS).intersection(results[0][1]):
+    columns = list(results[0][1]) if results else []
+    if results and not set(CANONICAL_METRICS).intersection(columns):
         raise DataError(f"{args.results}:1: no metric column (expected any of {', '.join(CANONICAL_METRICS)})")
+    unknown = [column for column in columns if column not in CANONICAL_METRICS]
+    if unknown:  # it would be left out of every report
+        raise DataError(f"{args.results}:1: unknown metric column(s): {', '.join(map(repr, unknown))}")
     try:
         report = build_report(corpus, dict(results))
     except DataError as exc:  # the corpus and the results do not fit together

@@ -35,7 +35,7 @@ class Sample(Record):
     ) -> None:
         if not id:
             raise DataError("sample id must be nonempty")
-        if sc is not None and sc not in (0, 1):
+        if sc is not None and (sc not in (0, 1) or isinstance(sc, bool)):
             raise DataError(f"sample {id!r}: invalid sc {sc!r} (must be 0 or 1)")
         if language not in LANGUAGES:
             raise DataError(
@@ -89,7 +89,12 @@ def _sample_from_record(record: Mapping, path, line: int) -> Sample:
         value = record.get(key)
         if value is None:
             raise DataError(f"{path}:{line}: missing field {key!r}")
-        fields[key] = str(value)
+        if not isinstance(value, str):
+            if key != "id" or type(value) is not int:  # not a bool, which JSON true and false give
+                kind = "a string or an integer" if key == "id" else "a string"
+                raise DataError(f"{path}:{line}: field {key!r} must be {kind}, got {_to_json(value)}")
+            value = str(value)
+        fields[key] = value
     try:
         sc = record.get("sc")
         if isinstance(sc, str):
@@ -99,7 +104,7 @@ def _sample_from_record(record: Mapping, path, line: int) -> Sample:
                 label = int(sc)
             except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
                 label = None
-            if label not in (0, 1) or (isinstance(sc, float) and sc != label):
+            if label not in (0, 1) or isinstance(sc, bool) or (isinstance(sc, float) and sc != label):
                 raise DataError(f"invalid sc {record['sc']!r}")
             sc = label
         return Sample(**fields, sc=sc)
@@ -217,26 +222,16 @@ def write_corpus(corpus: Corpus, path) -> None:
 _PLAIN_FIELD = re.compile(r'[^,"\r\n]+')
 
 
-def _check_homogeneous(rows: Sequence[tuple[str, Mapping[str, float]]]) -> list[str]:
-    first: list[str] | None = None
-    for sample_id, vector in rows:
-        names = list(vector)
-        if first is None:
-            first = names
-        elif names != first:
-            raise DataError(
-                f"heterogeneous metric sets: row {sample_id!r} differs from first row"
-            )
-    return first or []
-
-
 def write_results(rows: Sequence[tuple[str, Mapping[str, float]]], path) -> None:
     """Write per-sample metric vectors as CSV with stable column order and formatting.
 
     Every vector must cover the same metric set. Floats are printed with six
     decimal digits so output is bit-stable and reloads exactly.
     """
-    metrics = _check_homogeneous(rows)
+    metrics = list(rows[0][1]) if rows else []
+    for sample_id, vector in rows:
+        if list(vector) != metrics:
+            raise DataError(f"heterogeneous metric sets: row {sample_id!r} differs from first row")
     line = "%s" + ",%.6f" * len(metrics) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -12,6 +12,7 @@ zeroed silently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 
 from ._record import Record
@@ -85,15 +86,19 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
+def _check_scored(ids: Sequence[str], scores: Mapping[str, Mapping[str, float]]) -> None:
+    missing = [i for i in ids if i not in scores]
+    if missing:
+        raise DataError(f"no scores for sample id(s): {', '.join(missing[:5])}")
+
+
 def offsets(
     corpus: Corpus, scores: Mapping[str, Mapping[str, float]], part: Partition
 ) -> list[OffsetRow]:
     """Per-metric mean over the partition and its offset from the SC mean."""
     if len(part) == 0:
         raise DataError(f"partition {part.kind!r} is empty")
-    missing = [i for i in part.ids if i not in scores]
-    if missing:
-        raise DataError(f"no scores for sample id(s): {', '.join(missing[:5])}")
+    _check_scored(part.ids, scores)
     target = sc_mean(corpus, part)
     rows = []
     for metric in _metric_order(scores):
@@ -122,17 +127,24 @@ def describe(values: Sequence[float]) -> DescriptiveStats:
     if not values:
         raise DataError("describe() needs at least one value")
     ordered = sorted(values)
-    mean = _mean(ordered)
-    variance = math.fsum((v - mean) ** 2 for v in ordered) / len(ordered)
     return DescriptiveStats(
         min=ordered[0],
         q1=_quantile(ordered, 0.25),
         median=_quantile(ordered, 0.5),
         q3=_quantile(ordered, 0.75),
         max=ordered[-1],
-        mean=mean,
-        std=math.sqrt(variance),
+        mean=_mean(ordered),
+        std=math.sqrt(_centered(ordered)[1]),
     )
+
+
+def _paired_length(x: Sequence, y: Sequence, statistic: str) -> int:
+    """The common length of x and y, which must be at least 2."""
+    if len(x) != len(y):
+        raise DataError(f"length mismatch: {len(x)} vs {len(y)}")
+    if len(x) < 2:
+        raise DataError(f"{statistic} needs at least 2 observations")
+    return len(x)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
@@ -140,11 +152,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
 
     None when either variable is constant (undefined, not NaN).
     """
-    if len(x) != len(y):
-        raise DataError(f"length mismatch: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
-        raise DataError("pearson needs at least 2 observations")
+    _paired_length(x, y, "pearson")
+    # exact scans, not a zero variance: the fsum mean of [0.1] * 3 leaves one of 1.9e-34
     if all(a == x[0] for a in x) or all(b == y[0] for b in y):
         return None
     y_devs, var_y = _centered(y)
@@ -155,16 +164,13 @@ def _centered(y: Sequence[float]) -> tuple[list[float], float]:
     """Deviations from the mean and the population variance."""
     my = _mean(y)
     devs = [b - my for b in y]
-    return devs, math.fsum(d ** 2 for d in devs) / len(devs)
+    return devs, math.fsum([d ** 2 for d in devs]) / len(devs)
 
 
 def _pearson_centered(x: Sequence[float], y_devs: Sequence[float], var_y: float) -> float | None:
     """Pearson's r of a non-constant x against y given as `_centered(y)`."""
-    n = len(x)
-    mx = _mean(x)
-    x_devs = [a - mx for a in x]
-    cov = math.fsum([a * b for a, b in zip(x_devs, y_devs)]) / n
-    var_x = math.fsum([a ** 2 for a in x_devs]) / n
+    x_devs, var_x = _centered(x)
+    cov = math.fsum([a * b for a, b in zip(x_devs, y_devs)]) / len(x)
     if var_x == 0.0 or var_y == 0.0:
         return None
     r = cov / math.sqrt(var_x * var_y)
@@ -192,11 +198,17 @@ def _merge_count_inversions(seq: list[float]) -> int:
     return inversions
 
 
-def _tie_pairs(values: Sequence) -> int:
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+def _tie_pairs(values) -> int:
+    return sum(c * (c - 1) // 2 for c in Counter(values).values())
+
+
+def _tau_b(con_minus_dis: int, x_ties: int, y_ties: int, pairs: int) -> float | None:
+    """(C - D) / sqrt((pairs - Tx)(pairs - Ty)), clamped to [-1, 1]; None when
+    every pair is tied in either variable."""
+    if x_ties == pairs or y_ties == pairs:
+        return None
+    tau = con_minus_dis / math.sqrt(pairs - x_ties) / math.sqrt(pairs - y_ties)
+    return max(-1.0, min(1.0, tau))
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float | None:
@@ -206,22 +218,13 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float | None:
     either variable. Discordant pairs are counted via merge-sort inversions of
     y ordered by (x, y), so the whole computation is O(n log n).
     """
-    if len(x) != len(y):
-        raise DataError(f"length mismatch: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
-        raise DataError("kendall_tau needs at least 2 observations")
-    n0 = n * (n - 1) // 2
-    x_ties = _tie_pairs(x)
-    y_ties = _tie_pairs(y)
-    if n0 == x_ties or n0 == y_ties:
-        return None
-    joint_ties = _tie_pairs(list(zip(x, y)))
-    y_in_x_order = [yv for _, yv in sorted(zip(x, y))]
-    discordant = _merge_count_inversions(y_in_x_order)
-    con_minus_dis = n0 - x_ties - y_ties + joint_ties - 2 * discordant
-    tau = con_minus_dis / math.sqrt(n0 - x_ties) / math.sqrt(n0 - y_ties)
-    return max(-1.0, min(1.0, tau))
+    n = _paired_length(x, y, "kendall_tau")
+    pairs = n * (n - 1) // 2
+    x_ties, y_ties = _tie_pairs(x), _tie_pairs(y)
+    joint_ties = _tie_pairs(zip(x, y))
+    discordant = _merge_count_inversions([yv for _, yv in sorted(zip(x, y))])
+    con_minus_dis = pairs - x_ties - y_ties + joint_ties - 2 * discordant
+    return _tau_b(con_minus_dis, x_ties, y_ties, pairs)
 
 
 def _binary_concordance(x: Sequence[float], labels: Sequence[int]) -> tuple[int, int]:
@@ -266,24 +269,17 @@ def correlate(
     labeled = [s for s in corpus if s.labeled]
     if len(labeled) < 2:
         raise DataError(f"correlation needs >= 2 labeled samples, have {len(labeled)}")
-    missing = [s.id for s in labeled if s.id not in scores]
-    if missing:
-        raise DataError(f"no scores for sample id(s): {', '.join(missing[:5])}")
+    _check_scored([s.id for s in labeled], scores)
     n = len(labeled)
     labels = [int(s.sc) for s in labeled]
-    ones = sum(labels)
     pairs = n * (n - 1) // 2
-    label_ties = ones * (ones - 1) // 2 + (n - ones) * (n - ones - 1) // 2
+    label_ties = _tie_pairs(labels)
     label_devs, var_y = _centered([float(v) for v in labels])
     rows = []
     for metric in _metric_order(scores):
         values = [scores[s.id][metric] for s in labeled]
-        r = tau = None
-        if label_ties < pairs:
-            con_minus_dis, x_ties = _binary_concordance(values, labels)
-            if x_ties < pairs:
-                r = _pearson_centered(values, label_devs, var_y)
-                tau = con_minus_dis / math.sqrt(pairs - x_ties) / math.sqrt(pairs - label_ties)
-                tau = max(-1.0, min(1.0, tau))
+        tau = _tau_b(*_binary_concordance(values, labels), label_ties, pairs)
+        # tau is None just when either side is constant, as pearson's r is
+        r = None if tau is None else _pearson_centered(values, label_devs, var_y)
         rows.append(CorrelationRow(metric=metric, pearson_r=r, kendall_tau=tau, n=n))
     return rows

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalkit import ASSEMBLY_CHECKER, PYTHON_LIKE_CHECKER, CheckerError, SyntaxChecker
-from evalkit.checkers import checker_for_language
+from evalkit.checkers import _check_assembly_line, checker_for_language
 from evalkit.errors import ConfigError
 from evalkit.metrics import compilation_accuracy
 
@@ -64,6 +64,10 @@ class TestAssemblySubset:
     ])
     def test_rejects(self, snippet):
         assert compilation_accuracy(snippet, ASSEMBLY_CHECKER) == 0
+
+    def test_label_alone_is_a_whole_line(self):
+        assert _check_assembly_line("loop:") is None
+        assert ASSEMBLY_CHECKER.check("loop:\n  dec ecx\n  jnz loop").accepted
 
     def test_diagnostic_names_line(self):
         result = ASSEMBLY_CHECKER.check("mov eax, 5\nmov eax,")
@@ -201,6 +205,15 @@ class TestExternal:
             command="definitely-not-a-real-binary-anywhere {file}", timeout=5,
         )
         with pytest.raises(CheckerError):
+            checker.check("snippet")
+
+    def test_command_without_the_execute_bit_raises_checker_error(self, tmp_path):
+        script = tmp_path / "check.sh"
+        script.write_text("#!/bin/sh\nexit 0\n")
+        script.chmod(0o644)
+        checker = SyntaxChecker(name="unrunnable", kind="external-command",
+                                command=f"{script} {{file}}", timeout=5)
+        with pytest.raises(CheckerError, match="checker failed to run: .*Permission denied"):
             checker.check("snippet")
 
     def test_template_requires_file_placeholder(self):

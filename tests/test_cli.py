@@ -267,6 +267,15 @@ class TestEval:
         assert f"{cfg}: " in err and key in err
         assert not (tmp_path / "o" / "results.csv").exists()
 
+    def test_config_with_an_empty_metric_list_exits_1(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        cfg = tmp_path / "m.json"
+        cfg.write_text('{"metrics": []}')
+        out = tmp_path / "o"
+        assert run("eval", "--corpus", corpus, "--out", out, "--metrics-config", cfg) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: metrics: the list is empty\n"
+        assert not out.exists()
+
     def test_config_asking_for_ca_under_checker_none_exits_1(self, tmp_path, capsys):
         corpus = write_corpus_file(tmp_path, GOOD)
         cfg = tmp_path / "m.json"
@@ -423,6 +432,26 @@ class TestEval:
                    "--checker", "cmd:no-such-binary-exists {file}")
         assert code == 3
 
+    def test_checker_file_without_the_execute_bit_exits_3(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        script = tmp_path / "check.sh"
+        script.write_text("#!/bin/sh\nexit 0\n")
+        script.chmod(0o644)
+        code = run("eval", "--corpus", corpus, "--out", tmp_path / "o",
+                   "--checker", f"cmd:{script} {{file}}")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: checker failed to run: ")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("prediction", ["mov", "eax"], """: field 'prediction' must be a string, got ["mov", "eax"]"""),
+        ("sc", True, " (sample 'b'): invalid sc True"),
+    ], ids=["array-prediction", "boolean-sc"])
+    def test_corpus_value_of_another_json_type_exits_2(self, tmp_path, capsys, key, value, message):
+        corpus = write_corpus_file(tmp_path, [GOOD[0], dict(GOOD[1], **{key: value})])
+        assert run("eval", "--corpus", corpus, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {corpus}:2{message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestAnalyze:
     def _eval_then_analyze(self, tmp_path, records):
@@ -508,6 +537,15 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {results}:1: ") and problem in err
+        assert not (tmp_path / "analysis").exists()
+
+    def test_results_column_that_is_not_a_metric_exits_2(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        results = tmp_path / "results.csv"
+        results.write_text("id,EM,FOO\n" + "".join(f"{r['id']},1.000000,0.5\n" for r in GOOD))
+        assert run("analyze", "--corpus", corpus, "--results", results,
+                   "--out", tmp_path / "analysis") == 2
+        assert capsys.readouterr().err == f"error: {results}:1: unknown metric column(s): 'FOO'\n"
         assert not (tmp_path / "analysis").exists()
 
     @pytest.mark.parametrize("text, line, message", [
@@ -620,6 +658,14 @@ class TestAnalyze:
 
 
 class TestPreprocess:
+    def test_rules_file_of_only_comments_exits_1(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        rules = tmp_path / "rules.txt"
+        rules.write_text("# name=regex\n\n  # none yet\n")
+        assert run("preprocess", "--corpus", corpus, "--out", tmp_path / "o", "--rules", rules) == 1
+        assert capsys.readouterr().err == f"error: rules file {rules} contains no rules\n"
+        assert not (tmp_path / "o").exists()
+
     def test_standardize_then_destandardize_round_trip(self, tmp_path):
         records = [
             {"id": "a", "intent": "push 0x68732f2f then push 0x6e69622f",

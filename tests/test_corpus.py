@@ -132,6 +132,43 @@ class TestLoadCorpus:
         with pytest.raises(DataError):
             make_sample(0, id="")
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("prediction", ["mov", "eax"], "a string"),
+        ("reference", 16, "a string"),
+        ("intent", {"text": "i"}, "a string"),
+        ("language", False, "a string"),
+        ("id", True, "a string or an integer"),
+        ("id", 7.0, "a string or an integer"),
+    ], ids=["array-prediction", "number-reference", "object-intent", "boolean-language",
+            "boolean-id", "float-id"])
+    def test_jsonl_value_of_another_type_names_the_line_and_field(self, tmp_path, key, value, kind):
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, [GOOD[0], dict(GOOD[1], **{key: value})])
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}:2: field {key!r} must be {kind}, got {json.dumps(value)}"
+
+    @pytest.mark.parametrize("sc", [True, False])
+    def test_jsonl_boolean_sc_rejected(self, tmp_path, sc):
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, [dict(GOOD[0], sc=sc)])
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}:1 (sample 's1'): invalid sc {sc!r}"
+
+    @pytest.mark.parametrize("sc", [True, False])
+    def test_sample_rejects_a_boolean_sc(self, sc):
+        with pytest.raises(DataError) as info:
+            make_sample(0, sc=sc)
+        assert str(info.value) == f"sample 's0000': invalid sc {sc!r} (must be 0 or 1)"
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, GOOD)
+        with pytest.raises(DataError) as info:
+            load_corpus(path, "xml")
+        assert str(info.value) == "unknown corpus format 'xml' (expected jsonl or csv)"
+
 
 def _vector(seed: float) -> dict[str, float]:
     # values already at 6-decimal precision, the fixed point of the file format

@@ -147,6 +147,14 @@ def test_every_command_succeeds_on_the_unmutated_files():
         assert code == (1 if config_error else 0), (argv, err)
 
 
+# a JSON value of another type for a field that takes a string, or a true/false sc
+RETYPINGS = st.one_of(
+    st.tuples(st.sampled_from(["intent", "reference", "prediction", "language"]),
+              st.sampled_from([["mov", "eax"], 16, 0.5, {"text": "ret"}, True, False])),
+    st.tuples(st.just("sc"), st.booleans()),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(argv=commands(), changes=st.fixed_dictionaries({name: edits for name in FILES}),
        missing=st.sets(st.sampled_from(sorted(FILES)), max_size=1))
@@ -162,3 +170,27 @@ def test_malformed_inputs_exit_with_a_code_not_a_traceback(argv, changes, missin
             errors = [line for line in err.splitlines() if line.startswith("error: ")]
             assert len(errors) == 1, err
             assert any(str(root / name) in errors[0] for name in FILES if name in argv), err
+
+
+def reads_the_jsonl_corpus(argv) -> bool:
+    """Whether `argv` gets as far as reading corpus.jsonl: a bad template, or
+    CA under `--checker none`, is a configuration error reported first."""
+    return ("corpus.jsonl" in argv and not set(argv) & set(BAD_TEMPLATES)
+            and not {"metrics.json", "none"} <= set(argv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=commands().filter(reads_the_jsonl_corpus), record=st.integers(0, len(RECORDS) - 1),
+       retyping=RETYPINGS)
+def test_a_retyped_corpus_value_exits_2_naming_the_corpus(argv, record, retyping):
+    key, value = retyping
+    records = [dict(r, **{key: value}) if k == record else r for k, r in enumerate(RECORDS)]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in FILES.items():
+            (root / name).write_text(text, encoding="utf-8")
+        (root / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records),
+                                           encoding="utf-8")
+        code, err = run_on(root, argv)
+    assert code == 2, (code, err)
+    assert err.startswith(f"error: {root / 'corpus.jsonl'}:{record + 1}"), err

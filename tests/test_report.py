@@ -70,6 +70,16 @@ class TestOffsetTable:
         with pytest.raises(DataError, match="disagree"):
             render_offset_table(rows, "txt")
 
+    def test_no_non_empty_partition_rejected(self):
+        with pytest.raises(DataError) as info:
+            render_offset_table({"whole": None, "wrong": None}, "txt")
+        assert str(info.value) == "offset table needs at least one non-empty partition"
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(DataError) as info:
+            render_offset_table({"whole": offset_rows([("EM", 0.4)])}, "html")
+        assert str(info.value) == "unknown render format 'html' (expected txt, csv or md)"
+
     def test_empty_metric_set_rejected(self):
         for rows in ({"whole": []}, {"whole": [], "wrong": None}):
             with pytest.raises(DataError, match="at least one metric"):
@@ -125,6 +135,11 @@ class TestCorrelationTable:
         cells = footer.split(",")
         assert cells[1] == "0.600" and cells[3] == "0.400"
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(DataError) as info:
+            render_correlation_table([])
+        assert str(info.value) == "correlation table needs at least one row"
+
     def test_markdown_shape(self):
         rows = [CorrelationRow("EM", 0.5, 0.5, 3)]
         doc = render_correlation_table(rows, "md")
@@ -149,6 +164,11 @@ class TestBoxplotData:
         assert line[1] == f"{stats.min:.3f}"
         assert line[3] == f"{stats.median:.3f}"
         assert line[5] == f"{stats.max:.3f}"
+
+    def test_no_metric_mean_rejected(self):
+        with pytest.raises(DataError) as info:
+            render_boxplot_data({})
+        assert str(info.value) == "boxplot data needs at least one metric mean"
 
     def test_marker_file(self):
         assert render_sc_marker(0.53) == "sc_mean\n0.530\n"

@@ -117,6 +117,11 @@ def test_analyze_and_external_checks_load_what_they_need(tmp_path):
     assert (tmp_path / "run" / "analysis" / "correlation.csv").is_file()
 
 
+def test_dir_lists_every_export():
+    names = dir(evalkit)
+    assert names == sorted(names) and set(evalkit.__all__) <= set(names)
+
+
 def test_package_exports_resolve_on_first_access():
     result = run_python(
         "import json, sys\n"

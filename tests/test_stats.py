@@ -174,6 +174,15 @@ class TestPearson:
         with pytest.raises(DataError):
             pearson([1, 2], [1])
 
+    def test_one_observation_rejected(self):
+        with pytest.raises(DataError) as info:
+            pearson([0.5], [1.0])
+        assert str(info.value) == "pearson needs at least 2 observations"
+
+    def test_variance_that_underflows_is_undefined(self):
+        # x is not constant, but its squared deviations underflow to 0
+        assert pearson([1e-200, 0.0], [0.0, 1.0]) is None
+
     def test_matches_scipy(self):
         rng = random.Random(31)
         for _ in range(50):
@@ -207,6 +216,14 @@ class TestKendall:
     def test_hand_counted_concordances(self):
         # C = 5, D = 1, no ties: (5 - 1) / 6
         assert kendall_tau([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(2 / 3, abs=1e-12)
+
+    def test_length_mismatch_and_one_observation_rejected(self):
+        with pytest.raises(DataError) as info:
+            kendall_tau([1, 2], [1])
+        assert str(info.value) == "length mismatch: 2 vs 1"
+        with pytest.raises(DataError) as info:
+            kendall_tau([1], [1])
+        assert str(info.value) == "kendall_tau needs at least 2 observations"
 
     def test_all_tied_is_undefined(self):
         assert kendall_tau([1, 1, 1], [1, 2, 3]) is None
@@ -285,6 +302,13 @@ class TestCorrelate:
         corpus = labeled_corpus([1, None, None])
         with pytest.raises(DataError):
             correlate(corpus, {s.id: {"EM": 1.0} for s in corpus})
+
+    def test_labeled_sample_without_scores_rejected(self):
+        corpus = labeled_corpus([1, 0, None, 1])
+        scores = {s.id: {"EM": 1.0} for s in corpus if s.id != "s0003"}
+        with pytest.raises(DataError) as info:
+            correlate(corpus, scores)
+        assert str(info.value) == "no scores for sample id(s): s0003"
 
     def test_unlabeled_samples_skipped(self):
         corpus = labeled_corpus([1, None, 0, None, 1])
