@@ -1,7 +1,8 @@
 """The base of evalkit's immutable value types.
 
-A subclass lists its fields in `_fields`, in constructor order, and sets them
-in its own `__init__` with `self.__dict__.update(...)`, after its checks.
+A subclass's fields are its constructor's parameters, in order: `_fields` is
+read from the code of its `__init__`, which sets them with
+`self.__dict__.update(...)` after its checks.
 The base gives it what a frozen dataclass has: equality and hashing over the
 fields (an instance equals only an instance of the same class), a
 `Name(field=value, ...)` repr, `_replace` as on a named tuple, and assignment
@@ -14,6 +15,11 @@ from __future__ import annotations
 
 class Record:
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
 
     def _values(self) -> tuple:
         attrs = self.__dict__

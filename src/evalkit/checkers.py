@@ -21,8 +21,6 @@ CHECKER_KINDS = ("builtin-assembly-subset", "builtin-python-like", "external-com
 
 
 class CheckResult(Record):
-    _fields = ("accepted", "diagnostic")
-
     def __init__(self, accepted: bool, diagnostic: str = "") -> None:
         self.__dict__.update(accepted=accepted, diagnostic=diagnostic)
 
@@ -100,8 +98,6 @@ class SyntaxChecker(Record):
     replacement field a template may hold, run under `timeout` seconds, and
     accept the snippet iff they exit 0.
     """
-
-    _fields = ("name", "kind", "command", "timeout", "suffix")
 
     def __init__(
         self, name: str, kind: str, command: str = "", timeout: float = 10.0,

@@ -31,12 +31,7 @@ from .corpus import (
     write_results,
 )
 from .errors import ConfigError, DataError, EvalkitError
-from .metrics import (
-    CANONICAL_METRICS,
-    MeteorParams,
-    MetricConfig,
-    evaluate_corpus,
-)
+from .metrics import MeteorParams, MetricConfig, evaluate_corpus
 from .textprep import (
     StandardizationMap,
     TokenizerConfig,
@@ -188,12 +183,6 @@ def cmd_analyze(args) -> int:
 
     corpus = load_corpus(args.corpus)
     results = load_results(args.results)
-    columns = list(results[0][1]) if results else []
-    if results and not set(CANONICAL_METRICS).intersection(columns):
-        raise DataError(f"{args.results}:1: no metric column (expected any of {', '.join(CANONICAL_METRICS)})")
-    unknown = [column for column in columns if column not in CANONICAL_METRICS]
-    if unknown:  # it would be left out of every report
-        raise DataError(f"{args.results}:1: unknown metric column(s): {', '.join(map(repr, unknown))}")
     try:
         report = build_report(corpus, dict(results))
     except DataError as exc:  # the corpus and the results do not fit together
@@ -222,6 +211,8 @@ def _load_sidecar(path: Path) -> dict[str, StandardizationMap]:
         if not (isinstance(record, dict) and isinstance(record.get("id"), str)
                 and "map" in record):
             raise DataError(f"{path}:{line}: expected an object with 'id' and 'map'")
+        if record["id"] in maps:
+            raise DataError(f"{path}:{line}: duplicate map for id {record['id']!r}")
         smap = record["map"]
         if not isinstance(smap, dict) or not all(isinstance(v, str) for v in smap.values()):
             raise DataError(f"{path}:{line}: 'map' must be an object of placeholder -> literal")
@@ -238,6 +229,9 @@ def cmd_preprocess(args) -> int:
     samples = []
     # configuration files are read before the corpus, so a corpus error cannot hide theirs
     if args.destandardize:
+        for flag, value in (("--rules", args.rules), ("--filter-stopwords", args.filter_stopwords)):
+            if value is not None:  # it would be ignored
+                raise ConfigError(f"argument {flag}: not allowed with argument --destandardize")
         maps = _load_sidecar(sidecar_path)
         corpus = load_corpus(args.corpus)
         for s in corpus:

@@ -27,8 +27,6 @@ class Sample(Record):
     """One evaluation record: an intent, its reference snippet and a model
     prediction, with an optional human semantic-correctness label."""
 
-    _fields = ("id", "intent", "reference", "prediction", "sc", "language")
-
     def __init__(
         self, id: str, intent: str, reference: str, prediction: str,
         sc: int | None = None, language: str = "other",
@@ -57,8 +55,6 @@ _NO_PROVENANCE: Mapping[str, str] = MappingProxyType({})
 
 class Corpus(Record):
     """Immutable ordered collection of samples with unique ids."""
-
-    _fields = ("samples", "provenance")
 
     def __init__(
         self, samples: tuple[Sample, ...], provenance: Mapping[str, str] = _NO_PROVENANCE
@@ -182,6 +178,8 @@ def _records(path: Path, format: str):
         if missing:
             raise DataError(f"{path}:1: missing columns: {', '.join(sorted(missing))}")
         for line, row in rows:
+            if len(row) > len(header):  # zip would drop the fields past the header
+                raise DataError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
             if row:  # a blank line holds no record
                 yield line, dict(zip(header, row))
     else:
@@ -194,16 +192,13 @@ def load_corpus(path, format: str | None = None) -> Corpus:
     path = Path(path)
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    samples = tuple(_sample_from_record(record, path, line) for line, record in _records(path, format))
-    try:
-        return Corpus(samples, provenance={"source": str(path), "format": format})
-    except DataError as exc:  # a repeated id: name the second copy's line, found only now
-        seen: set[str] = set()
-        for line, record in _records(path, format):
-            if str(record["id"]) in seen:
-                raise DataError(f"{path}:{line}: {exc}") from None
-            seen.add(str(record["id"]))
-        raise
+    samples: dict[str, Sample] = {}
+    for line, record in _records(path, format):
+        sample = _sample_from_record(record, path, line)
+        if sample.id in samples:
+            raise DataError(f"{path}:{line}: duplicate sample id {sample.id!r}")
+        samples[sample.id] = sample
+    return Corpus(tuple(samples.values()), provenance={"source": str(path), "format": format})
 
 
 def write_corpus(corpus: Corpus, path) -> None:
@@ -247,6 +242,7 @@ def write_results(rows: Sequence[tuple[str, Mapping[str, float]]], path) -> None
 def load_results(path) -> list[tuple[str, dict[str, float]]]:
     """Read a CSV result table written by write_results.
 
+    Every column after `id` must be a metric name, and there must be one.
     Every score must be a number in [0, 1]; nan and inf are rejected.
     """
     rows: dict[str, dict[str, float]] = {}
@@ -259,7 +255,15 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
     for k, column in enumerate(header):
         if column in header[:k]:
             raise DataError(f"{path}:1: column {column!r} appears twice in the header")
+    # imported here, not at the top, because metrics imports this module
+    from .metrics import CANONICAL_METRICS
+
     metrics = header[1:]
+    if not set(CANONICAL_METRICS).intersection(metrics):
+        raise DataError(f"{path}:1: no metric column (expected any of {', '.join(CANONICAL_METRICS)})")
+    unknown = [column for column in metrics if column not in CANONICAL_METRICS]
+    if unknown:  # it would be left out of every report
+        raise DataError(f"{path}:1: unknown metric column(s): {', '.join(map(repr, unknown))}")
     for line, row in lines:
         if len(row) != len(header):
             raise DataError(f"{path}:{line}: expected {len(header)} columns")

@@ -176,8 +176,6 @@ def bleu(
 class MeteorParams(Record):
     """Harmonic-mean weight, fragmentation exponent and penalty weight."""
 
-    _fields = ("alpha", "beta", "gamma")
-
     def __init__(self, alpha: float = 0.9, beta: float = 3.0, gamma: float = 0.5) -> None:
         for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -405,11 +403,6 @@ class MetricConfig(Record):
     "ROUGE-L" standing for their groups. Neither of the two is compared or
     shown in the repr.
     """
-
-    _fields = (
-        "tokenizers", "meteor_tokenizer", "bleu_smoothing", "bleu_epsilon", "meteor_params",
-        "metrics", "checker",
-    )
 
     def __init__(
         self,

@@ -135,8 +135,6 @@ def render_sc_marker(value: float) -> str:
 class AnalysisReport(Record):
     """Everything the analysis stage derives from a corpus and its scores."""
 
-    _fields = ("metadata", "offset_rows", "correlation_rows", "per_metric_means", "sc_marker")
-
     def __init__(
         self,
         metadata: Mapping[str, str],

@@ -24,8 +24,6 @@ from .metrics import CANONICAL_METRICS
 class Partition(Record):
     """A named subset of labeled sample ids."""
 
-    _fields = ("kind", "ids")
-
     def __init__(self, kind: str, ids: tuple[str, ...]) -> None:
         self.__dict__.update(kind=kind, ids=ids)
 
@@ -34,15 +32,11 @@ class Partition(Record):
 
 
 class OffsetRow(Record):
-    _fields = ("metric", "mean_value", "offset")
-
     def __init__(self, metric: str, mean_value: float, offset: float) -> None:
         self.__dict__.update(metric=metric, mean_value=mean_value, offset=offset)
 
 
 class CorrelationRow(Record):
-    _fields = ("metric", "pearson_r", "kendall_tau", "n")
-
     def __init__(
         self, metric: str, pearson_r: float | None, kendall_tau: float | None, n: int
     ) -> None:
@@ -50,8 +44,6 @@ class CorrelationRow(Record):
 
 
 class DescriptiveStats(Record):
-    _fields = ("min", "q1", "median", "q3", "max", "mean", "std")
-
     def __init__(
         self, min: float, q1: float, median: float, q3: float, max: float, mean: float,
         std: float,

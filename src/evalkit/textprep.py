@@ -43,8 +43,6 @@ class TokenizerConfig(Record):
     commas, brackets and operator runs into standalone tokens.
     """
 
-    _fields = ("mode", "newline_is_token", "lowercase")
-
     def __init__(
         self, mode: str = "whitespace", newline_is_token: bool = False, lowercase: bool = False
     ) -> None:
@@ -93,8 +91,6 @@ class StandardizationMap(Record):
     Placeholders are dense ("var0", "var1", ...) and the mapping is injective:
     repeated occurrences of the same literal share one placeholder.
     """
-
-    _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[str, str], ...] = ()) -> None:
         for i, (ph, lit) in enumerate(entries):

@@ -414,6 +414,14 @@ class TestEval:
         assert err.startswith(f"error: {corpus}:{line}") and message in err
         assert not (tmp_path / "o").exists()
 
+    def test_csv_record_longer_than_the_header_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("id,intent,reference,prediction,language,sc\n"
+                          "a,i,mov eax,mov eax,assembly,1,junk\n", encoding="utf-8")
+        assert run("eval", "--corpus", corpus, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {corpus}:2: expected 6 columns, got 7\n"
+        assert not (tmp_path / "o").exists()
+
     def test_corpus_format_follows_the_suffix_only(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("id,intent,reference,prediction,sc,language\n"
@@ -543,6 +551,16 @@ class TestAnalyze:
         corpus = write_corpus_file(tmp_path, GOOD)
         results = tmp_path / "results.csv"
         results.write_text("id,EM,FOO\n" + "".join(f"{r['id']},1.000000,0.5\n" for r in GOOD))
+        assert run("analyze", "--corpus", corpus, "--results", results,
+                   "--out", tmp_path / "analysis") == 2
+        assert capsys.readouterr().err == f"error: {results}:1: unknown metric column(s): 'FOO'\n"
+        assert not (tmp_path / "analysis").exists()
+
+    @pytest.mark.parametrize("rows", ["", "a,2.0,x\n"], ids=["no-rows", "a-bad-row"])
+    def test_results_header_is_checked_before_any_row(self, tmp_path, capsys, rows):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        results = tmp_path / "results.csv"
+        results.write_text("id,EM,FOO\n" + rows)
         assert run("analyze", "--corpus", corpus, "--results", results,
                    "--out", tmp_path / "analysis") == 2
         assert capsys.readouterr().err == f"error: {results}:1: unknown metric column(s): 'FOO'\n"
@@ -729,6 +747,36 @@ class TestPreprocess:
             f"error: {tmp_path / bad}:{line}: a string holds the lone surrogate '{escape}'\n"
         )
         assert not out.exists() or not any(out.iterdir())
+
+    def test_sidecar_with_two_maps_for_one_id_exits_2(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, [dict(GOOD[0], intent="set var0 to var1")])
+        sidecar = tmp_path / "maps.jsonl"
+        sidecar.write_text('{"id": "a", "map": {"var0": "0x1", "var1": "0x2"}}\n'
+                           '{"id": "a", "map": {"var0": "0x99"}}\n', encoding="utf-8")
+        code = run("preprocess", "--corpus", corpus, "--out", tmp_path / "o",
+                   "--destandardize", "--sidecar", sidecar)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {sidecar}:2: duplicate map for id 'a'\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--rules", "nonexistent"],
+        ["--filter-stopwords", "nonexistent"],
+        ["--filter-stopwords"],
+    ], ids=["rules", "stopword-file", "built-in-stopwords"])
+    def test_destandardize_rejects_the_flags_of_the_forward_run(self, tmp_path, capsys, flags):
+        # they would be ignored, and their files never opened
+        corpus = write_corpus_file(tmp_path, GOOD)
+        sidecar = tmp_path / "maps.jsonl"
+        sidecar.write_text('{"id": "a", "map": {}}\n', encoding="utf-8")
+        flags = [flag if flag.startswith("--") else tmp_path / flag for flag in flags]
+        code = run("preprocess", "--corpus", corpus, "--out", tmp_path / "o",
+                   "--destandardize", "--sidecar", sidecar, *flags)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: argument {flags[0]}: not allowed with argument --destandardize\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_surrogate_pair_escape_is_one_character(self, tmp_path):
         corpus = write_corpus_file(tmp_path, [dict(GOOD[0], id="a\U0001f600")])

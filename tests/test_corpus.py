@@ -66,6 +66,14 @@ class TestLoadCorpus:
             load_corpus(path)
         assert str(info.value) == f"{tmp_path / where}: duplicate sample id {sample_id!r}"
 
+    def test_duplicate_id_is_reported_before_a_later_malformed_record(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        no_intent = {k: v for k, v in GOOD[2].items() if k != "intent"}
+        _write_jsonl(path, [GOOD[0], dict(GOOD[1], id="s1"), no_intent])
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}:2: duplicate sample id 's1'"
+
     def test_parse_error_reports_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "s1"}\nnot json\n', encoding="utf-8")
@@ -117,6 +125,25 @@ class TestLoadCorpus:
             encoding="utf-8",
         )
         assert load_corpus(path, "csv").samples[0].sc is None
+
+    def test_csv_record_longer_than_the_header_rejected(self, tmp_path):
+        # the long record starts on line 4, after a field that holds a newline
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "id,intent,reference,prediction,language,sc\n"
+            's1,"i\nj",r,p,other,1\n'
+            "s2,i,mov eax,mov eax,assembly,1,junk\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}:4: expected 6 columns, got 7"
+
+    def test_csv_record_shorter_than_the_header_without_sc_is_unlabeled(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("id,intent,reference,prediction,language,sc\ns1,i,r,p,other\n",
+                        encoding="utf-8")
+        assert load_corpus(path).samples[0].sc is None
 
     def test_jsonl_round_trip(self, tmp_path):
         corpus = random_corpus(20, seed=5)
@@ -180,6 +207,15 @@ class TestResults:
         path = tmp_path / "r.csv"
         write_results([], path)
         assert path.read_text(encoding="utf-8") == "id\n"
+
+    def test_header_without_a_metric_column_rejected(self, tmp_path):
+        # what write_results writes for no rows
+        path = tmp_path / "r.csv"
+        write_results([], path)
+        with pytest.raises(DataError) as info:
+            load_results(path)
+        expected = ", ".join(CANONICAL_METRICS)
+        assert str(info.value) == f"{path}:1: no metric column (expected any of {expected})"
 
     def test_column_count(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -56,7 +56,7 @@ FILES = {
                   '{"id": "b", "map": {"var0": "\'count\'"}}\n',
 }
 INSERTS = [b"\xef\xbb\xbf", b"NaN", b"Infinity", b"1e400", b'"', b"'", b"\x00", b"\xff", b"\xc3",
-           b"\\ud800"]
+           b"\\ud800", b","]
 # each is rejected when the configuration is built, before any check runs
 BAD_TEMPLATES = ['cmd:echo "{file}', "cmd:echo {x} {file}", "cmd:echo {} {file}",
                  "cmd:echo {{file}}"]
