@@ -20,8 +20,8 @@ _EXPORTS = {
     "errors": ("CheckerError", "ConfigError", "DataError", "EvalkitError"),
     "metrics": (
         "CANONICAL_METRICS", "MeteorParams", "MetricConfig", "bleu", "compilation_accuracy",
-        "edit_distance_norm", "evaluate_corpus", "evaluate_pair", "evaluate_sample",
-        "exact_match", "lcs_length", "levenshtein", "meteor", "ngrams", "rouge_l", "rouge_n",
+        "edit_distance_norm", "evaluate_corpus", "evaluate_pair", "exact_match", "lcs_length",
+        "levenshtein", "meteor", "ngrams", "rouge_l", "rouge_n",
     ),
     "stats": (
         "CorrelationRow", "DescriptiveStats", "OffsetRow", "Partition", "correlate", "describe",

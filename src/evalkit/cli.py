@@ -81,19 +81,18 @@ def _record(cls, obj, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _config_kwargs(obj, cfg: MetricConfig) -> dict:
-    """MetricConfig keyword arguments from a parsed metrics config file; a
-    tokenizer it does not set is that of `cfg`."""
+def _config_kwargs(obj) -> dict:
+    """MetricConfig keyword arguments from a parsed metrics config file."""
     keys = ("metrics", "tokenizers", "meteor_tokenizer", "bleu", "meteor")
     _object(obj, "the top level", keys, "config key(s)")
     kwargs: dict = {}
     if "metrics" in obj:
         kwargs["metrics"] = obj["metrics"]
     if "tokenizers" in obj:
-        base = dict(cfg.tokenizers)
-        for language, tok in _object(obj["tokenizers"], "tokenizers").items():
-            base[language] = _record(TokenizerConfig, tok, f"tokenizers.{language}")
-        kwargs["tokenizers"] = base
+        kwargs["tokenizers"] = {
+            language: _record(TokenizerConfig, tok, f"tokenizers.{language}")
+            for language, tok in _object(obj["tokenizers"], "tokenizers").items()
+        }
     if "meteor_tokenizer" in obj:
         kwargs["meteor_tokenizer"] = _record(
             TokenizerConfig, obj["meteor_tokenizer"], "meteor_tokenizer"
@@ -126,7 +125,7 @@ def load_metric_config(path: str | None, checker: str | None = None) -> MetricCo
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     try:
-        kwargs = _config_kwargs(obj, cfg)
+        kwargs = _config_kwargs(obj)
         cfg = MetricConfig(**kwargs, checker=checker)
         if "CA" in kwargs.get("metrics", ()) and checker == "none":  # CA would be dropped
             raise ConfigError("metrics: CA needs a checker, but --checker is none")

@@ -96,11 +96,12 @@ def _sample_from_record(record: Mapping, path, line: int) -> Sample:
         if isinstance(sc, str):
             sc = sc.strip() or None
         if sc is not None:
-            try:
-                label = int(sc)
+            try:  # text is read as a number, so "1.0" is the label that 1.0 is
+                number = float(sc) if isinstance(sc, str) else sc
+                label = int(number)
             except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
                 label = None
-            if label not in (0, 1) or isinstance(sc, bool) or (isinstance(sc, float) and sc != label):
+            if label not in (0, 1) or isinstance(sc, bool) or number != label:
                 raise DataError(f"invalid sc {record['sc']!r}")
             sc = label
         return Sample(**fields, sc=sc)
@@ -161,6 +162,20 @@ def _csv_rows(path):
             raise DataError(f"{path}:{line}: {exc}") from None
 
 
+def _csv_table(path, what: str):
+    """The header of a CSV file and the (line number, fields) of its other
+    rows; an empty file (a `what`) or a column named twice raises DataError
+    at line 1."""
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise DataError(f"{path}:1: empty {what}")
+    for k, column in enumerate(header):
+        if column in header[:k]:
+            raise DataError(f"{path}:1: column {column!r} appears twice in the header")
+    return header, rows
+
+
 def _records(path: Path, format: str):
     """(line number, record) for each record of a corpus file, numbered by
     the line where the record starts."""
@@ -170,10 +185,7 @@ def _records(path: Path, format: str):
                 raise DataError(f"{path}:{line}: expected an object per line")
             yield line, record
     elif format == "csv":
-        rows = _csv_rows(path)
-        _, header = next(rows, (1, None))
-        if header is None:
-            raise DataError(f"{path}:1: empty CSV file")
+        header, rows = _csv_table(path, "CSV file")
         missing = set(_REQUIRED) - set(header)
         if missing:
             raise DataError(f"{path}:1: missing columns: {', '.join(sorted(missing))}")
@@ -246,15 +258,9 @@ def load_results(path) -> list[tuple[str, dict[str, float]]]:
     Every score must be a number in [0, 1]; nan and inf are rejected.
     """
     rows: dict[str, dict[str, float]] = {}
-    lines = _csv_rows(path)
-    _, header = next(lines, (1, None))
-    if header is None:
-        raise DataError(f"{path}:1: empty results file")
+    header, lines = _csv_table(path, "results file")
     if not header or header[0] != "id":
         raise DataError(f"{path}:1: malformed results header")
-    for k, column in enumerate(header):
-        if column in header[:k]:
-            raise DataError(f"{path}:1: column {column!r} appears twice in the header")
     # imported here, not at the top, because metrics imports this module
     from .metrics import CANONICAL_METRICS
 

@@ -19,7 +19,7 @@ from types import MappingProxyType
 from ._kernels import lcs_length, levenshtein
 from ._record import Record
 from .checkers import SyntaxChecker, checker_for_language
-from .corpus import LANGUAGES, Sample
+from .corpus import LANGUAGES
 from .errors import ConfigError
 from .textprep import CODE_TOKENIZER, TokenizerConfig, tokenize
 
@@ -388,25 +388,22 @@ def compilation_accuracy(pred: str, checker: SyntaxChecker) -> int:
     return int(checker.check(pred).accepted)
 
 
-_DEFAULT_TOKENIZERS = MappingProxyType(dict.fromkeys(LANGUAGES, CODE_TOKENIZER))
-
-
 class MetricConfig(Record):
-    """Everything evaluate_sample needs to be deterministic and auditable.
+    """Everything evaluate_pair needs to be deterministic and auditable.
 
-    tokenizers defaults to a new dict giving every corpus language
-    CODE_TOKENIZER. METEOR's tokenizer mirrors the usual tooling for that
-    metric, which splits punctuation into its own tokens. checker is a
-    selector (none | auto | assembly | python | cmd:<template>), a
-    SyntaxChecker, or None; it is resolved per corpus language once, here,
-    into `_checkers`. `_wanted` holds the metrics, with "n-gram" and
-    "ROUGE-L" standing for their groups. Neither of the two is compared or
-    shown in the repr.
+    tokenizers becomes a new dict naming every corpus language; a language
+    the given map leaves out gets CODE_TOKENIZER. METEOR's tokenizer mirrors
+    the usual tooling for that metric, which splits punctuation into its own
+    tokens. checker is a selector (none | auto | assembly | python |
+    cmd:<template>), a SyntaxChecker, or None; it is resolved per corpus
+    language once, here, into `_checkers`. `_wanted` holds the metrics, with
+    "n-gram" and "ROUGE-L" standing for their groups. Neither of the two is
+    compared or shown in the repr.
     """
 
     def __init__(
         self,
-        tokenizers: Mapping[str, TokenizerConfig] = _DEFAULT_TOKENIZERS,
+        tokenizers: Mapping[str, TokenizerConfig] = MappingProxyType({}),
         meteor_tokenizer: TokenizerConfig = TokenizerConfig(mode="code-punct", newline_is_token=True),
         bleu_smoothing: str = "none",
         bleu_epsilon: float = DEFAULT_BLEU_EPSILON,
@@ -414,8 +411,6 @@ class MetricConfig(Record):
         metrics: tuple[str, ...] = CANONICAL_METRICS,
         checker: str | SyntaxChecker | None = "auto",
     ) -> None:
-        if tokenizers is _DEFAULT_TOKENIZERS:  # a dict of its own, as before
-            tokenizers = dict(tokenizers)
         metrics = canonical_subset(metrics)
         _check_bleu_options(bleu_smoothing, bleu_epsilon)
         if not isinstance(meteor_tokenizer, TokenizerConfig):
@@ -432,6 +427,7 @@ class MetricConfig(Record):
                 )
             if not isinstance(tok, TokenizerConfig):
                 raise ConfigError(f"tokenizers.{language} must be a TokenizerConfig, got {tok!r}")
+        tokenizers = {lang: tokenizers.get(lang, CODE_TOKENIZER) for lang in LANGUAGES}
         if checker == "none":
             checker = None
         if isinstance(checker, str):
@@ -518,17 +514,12 @@ def evaluate_pair(
     return {name: values[name] for name in cfg.metrics}
 
 
-def evaluate_sample(sample: Sample, cfg: MetricConfig) -> MetricVector:
-    """Metric vector for one corpus sample."""
-    return evaluate_pair(sample.prediction, sample.reference, sample.language, cfg)
-
-
 def evaluate_corpus(
     corpus, cfg: MetricConfig, jobs: int = 1
 ) -> list[tuple[str, MetricVector]]:
     """Evaluate every sample; rows come back sorted by sample id.
 
-    Every sample is scored by `evaluate_sample` on the calling thread. jobs
+    Every sample is scored by `evaluate_pair` on the calling thread. jobs
     bounds how many external-checker commands run at once: with jobs > 1,
     CA wanted and a checker that runs an external command (for every
     language, or for none), the CA checks start up front in a pool of jobs
@@ -540,7 +531,7 @@ def evaluate_corpus(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     kinds = {checker.kind for checker in cfg._checkers.values() if checker is not None}
     if jobs == 1 or "CA" not in cfg._wanted or "external-command" not in kinds:
-        rows = [(s.id, evaluate_sample(s, cfg)) for s in corpus]
+        rows = [(s.id, evaluate_pair(s.prediction, s.reference, s.language, cfg)) for s in corpus]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -563,7 +554,7 @@ def evaluate_corpus(
                 check.add_done_callback(stop_on_error)
             rows = []
             for s, check in zip(corpus, checks):
-                vector = evaluate_sample(s, rest)
+                vector = evaluate_pair(s.prediction, s.reference, s.language, rest)
                 rows.append((s.id, {"CA": float(check.result()), **vector}))
         finally:
             pool.shutdown(cancel_futures=True)

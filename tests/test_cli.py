@@ -394,6 +394,8 @@ class TestEval:
          "(sample 'a'): invalid sc 'yes'"),
         ("corpus.jsonl", json.dumps(dict(GOOD[0], sc=float("inf"))) + "\n", 1,
          "(sample 'a'): invalid sc inf"),
+        ("corpus.jsonl", json.dumps(dict(GOOD[0], sc="1.5")) + "\n", 1,
+         "(sample 'a'): invalid sc '1.5'"),
         ("corpus.csv", "", 1, "empty CSV file"),
         ("corpus.csv", "id,intent,reference,prediction,sc\na,i,r,p,1\n", 1,
          "missing columns: language"),
@@ -401,9 +403,12 @@ class TestEval:
          % ("x" * (2**17 + 1)), 2, "field larger than field limit"),
         ("corpus.csv", 'id,intent,reference,prediction,sc,language\na,"x\ny\nz",r,p,1,other\n'
          "\nb,i,r,p,2,other\n", 6, "(sample 'b'): invalid sc '2'"),
+        ("corpus.csv", "id,intent,reference,prediction,language,sc,sc\n"
+         "a,i,mov eax,mov eax,assembly,1,0\n", 1, "column 'sc' appears twice in the header"),
     ], ids=["jsonl-parse-error", "jsonl-not-an-object", "jsonl-invalid-sc", "jsonl-infinite-sc",
-            "csv-empty", "csv-missing-column", "csv-field-over-the-limit",
-            "csv-invalid-sc-after-a-multiline-field"])
+            "jsonl-fractional-text-sc", "csv-empty", "csv-missing-column",
+            "csv-field-over-the-limit", "csv-invalid-sc-after-a-multiline-field",
+            "csv-repeated-column"])
     def test_bad_corpus_exits_2_naming_file_and_line(self, tmp_path, capsys, name, text, line,
                                                      message):
         corpus = tmp_path / name

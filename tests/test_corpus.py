@@ -117,6 +117,34 @@ class TestLoadCorpus:
         assert corpus.provenance["format"] == format
         assert [s.sc for s in corpus] == [1, 0, None]
 
+    @pytest.mark.parametrize("name, text", [
+        ("c.csv", "id,intent,reference,prediction,sc,language\n"
+         "s1,a,x,y,1.0,assembly\ns2,b,x,,0.0,python-like\ns3,c,x,x,,other\n"),
+        ("c.jsonl", "".join(json.dumps(dict(r, sc=sc)) + "\n"
+                            for r, sc in zip(GOOD, ("1.0", "0.0", None)))),
+    ], ids=["csv-as-pandas-writes-it", "jsonl-text"])
+    def test_labels_written_with_a_decimal_point_load_as_integers(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert [s.sc for s in load_corpus(path)] == [1, 0, None]
+
+    @pytest.mark.parametrize("sc, label", [
+        ("1", 1), (" 1 ", 1), ("1.0", 1), ("0.0", 0), (1, 1), (1.0, 1), (0, 0),
+    ], ids=["text-1", "padded-text-1", "text-1.0", "text-0.0", "int-1", "float-1.0", "int-0"])
+    def test_text_and_number_labels_read_alike(self, tmp_path, sc, label):
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, [dict(GOOD[0], sc=sc)])
+        assert load_corpus(path).samples[0].sc == label
+
+    @pytest.mark.parametrize("sc", ["2", "1.5", 1.5, "nan", "inf", [1]], ids=[
+        "text-2", "text-1.5", "float-1.5", "text-nan", "text-inf", "array"])
+    def test_a_label_that_is_not_0_or_1_rejected(self, tmp_path, sc):
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, [dict(GOOD[0], sc=sc)])
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}:1 (sample 's1'): invalid sc {sc!r}"
+
     def test_csv_blank_sc_is_unlabeled(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(

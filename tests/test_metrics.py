@@ -579,6 +579,14 @@ class TestEvaluatePair:
         with pytest.raises(ConfigError, match=re.escape(message)):
             MetricConfig(tokenizers=tokenizers)
 
+    def test_a_partial_tokenizer_map_keeps_the_default_for_the_other_languages(
+        self, default_config
+    ):
+        cfg = MetricConfig(tokenizers={"other": CODE_TOKENIZER})
+        assert cfg.tokenizers == dict.fromkeys(LANGUAGES, CODE_TOKENIZER)
+        pair = ("mov eax, 1", "mov ebx, 1", "assembly")
+        assert evaluate_pair(*pair, cfg) == evaluate_pair(*pair, default_config)
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigError):
             canonical_subset(("ED", "WER"))
@@ -606,12 +614,12 @@ class TestEvaluateCorpus:
     ):
         threads = []
         made = []
-        original = metrics.evaluate_sample
+        original = metrics.evaluate_pair
         real_pool = concurrent.futures.ThreadPoolExecutor
 
-        def recording(sample, cfg):
+        def recording(prediction, reference, language, cfg):
             threads.append(threading.get_ident())
-            return original(sample, cfg)
+            return original(prediction, reference, language, cfg)
 
         def counted_pool(*args, **kwargs):
             if not pools:
@@ -619,7 +627,7 @@ class TestEvaluateCorpus:
             made.append(args or kwargs)
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "evaluate_sample", recording)
+        monkeypatch.setattr(metrics, "evaluate_pair", recording)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
         serial = evaluate_corpus(mini_corpus, cfg, jobs=1)
         assert evaluate_corpus(mini_corpus, cfg, jobs=3) == serial
@@ -668,9 +676,13 @@ class TestEvaluateCorpus:
 
     def test_a_failing_score_cancels_the_checks_not_yet_started(self, monkeypatch):
         calls = self._failing_checks(monkeypatch, lambda snippet, number: False)
-        cfg = MetricConfig(tokenizers={"other": CODE_TOKENIZER}, checker="cmd:true {file}")
-        with pytest.raises(ConfigError, match="no tokenizer configured"):
-            evaluate_corpus(self._samples, cfg, jobs=2)
+
+        def failing(prediction, reference, language, cfg):
+            raise ConfigError("scoring failed")
+
+        monkeypatch.setattr(metrics, "evaluate_pair", failing)
+        with pytest.raises(ConfigError, match="scoring failed"):
+            evaluate_corpus(self._samples, self._external, jobs=2)
         assert len(calls) < 10
 
     @pytest.mark.parametrize("jobs", [0, -3])
