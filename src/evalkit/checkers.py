@@ -92,17 +92,14 @@ def _check_python_like(snippet: str) -> str | None:
 
 
 class SyntaxChecker(Record):
-    """A named syntax check: builtin grammar or an external command template.
+    """A syntax check: builtin grammar or an external command template.
 
     External commands get the snippet path substituted for `{file}`, the one
     replacement field a template may hold, run under `timeout` seconds, and
     accept the snippet iff they exit 0.
     """
 
-    def __init__(
-        self, name: str, kind: str, command: str = "", timeout: float = 10.0,
-        suffix: str = ".txt",
-    ) -> None:
+    def __init__(self, kind: str, command: str = "", timeout: float = 10.0) -> None:
         if kind not in CHECKER_KINDS:
             raise ConfigError(f"unknown checker kind {kind!r}")
         if kind == "external-command":
@@ -127,7 +124,7 @@ class SyntaxChecker(Record):
                 raise ConfigError(
                     f"external checker needs a finite timeout > 0 seconds, got {timeout!r}"
                 )
-        self.__dict__.update(name=name, kind=kind, command=command, timeout=timeout, suffix=suffix)
+        self.__dict__.update(kind=kind, command=command, timeout=timeout)
 
     def check(self, snippet: str) -> CheckResult:
         if self.kind == "builtin-assembly-subset":
@@ -147,9 +144,7 @@ class SyntaxChecker(Record):
         import subprocess
         import tempfile
 
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=self.suffix, delete=False, encoding="utf-8"
-        ) as fh:
+        with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False, encoding="utf-8") as fh:
             fh.write(snippet)
             path = Path(fh.name)
         try:
@@ -193,8 +188,8 @@ def _kill_group(proc) -> None:
     proc.wait()
 
 
-ASSEMBLY_CHECKER = SyntaxChecker(name="assembly-subset", kind="builtin-assembly-subset")
-PYTHON_LIKE_CHECKER = SyntaxChecker(name="python-like", kind="builtin-python-like")
+ASSEMBLY_CHECKER = SyntaxChecker(kind="builtin-assembly-subset")
+PYTHON_LIKE_CHECKER = SyntaxChecker(kind="builtin-python-like")
 
 
 def checker_for_language(selector: str, language: str) -> SyntaxChecker | None:
@@ -208,5 +203,5 @@ def checker_for_language(selector: str, language: str) -> SyntaxChecker | None:
     if selector == "auto":
         return ASSEMBLY_CHECKER if language == "assembly" else PYTHON_LIKE_CHECKER
     if selector.startswith("cmd:"):
-        return SyntaxChecker(name="external", kind="external-command", command=selector[4:])
+        return SyntaxChecker(kind="external-command", command=selector[4:])
     raise ConfigError(f"unknown checker selector {selector!r}")

@@ -24,6 +24,7 @@ from .corpus import (
     Corpus,
     _json_lines,
     _to_json,
+    _unique_keys,
     load_corpus,
     load_results,
     open_utf8,
@@ -121,9 +122,11 @@ def load_metric_config(path: str | None, checker: str | None = None) -> MetricCo
         return cfg
     with open_utf8(path, error=ConfigError) as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        except DataError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     try:
         kwargs = _config_kwargs(obj)
         cfg = MetricConfig(**kwargs, checker=checker)
@@ -172,34 +175,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .report import (
-        build_report,
-        render_boxplot_data,
-        render_correlation_table,
-        render_offset_table,
-        render_sc_marker,
-    )
+    from .report import build_report
 
     corpus = load_corpus(args.corpus)
     results = load_results(args.results)
     try:
-        report = build_report(corpus, dict(results))
+        documents = build_report(corpus, dict(results))
     except DataError as exc:  # the corpus and the results do not fit together
         raise DataError(f"{args.corpus} and {args.results}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for fmt in ("txt", "csv", "md"):
-        _write_text(out / f"offsets.{fmt}", render_offset_table(report.offset_rows, fmt))
-        _write_text(out / f"correlation.{fmt}", render_correlation_table(report.correlation_rows, fmt))
-    _write_text(out / "boxplot.csv", render_boxplot_data(report.per_metric_means))
-    _write_text(out / "sc_marker.csv", render_sc_marker(report.sc_marker))
-    _write_text(
-        out / "analysis_meta.json",
-        json.dumps(dict(report.metadata), indent=2, sort_keys=True) + "\n",
-    )
-    skipped = report.metadata["unlabeled_skipped"]
-    print(f"analyzed {report.metadata['labeled']} labeled samples "
-          f"({skipped} unlabeled skipped) -> {out}")
+    for name, text in documents.items():
+        _write_text(out / name, text)
+    labeled = sum(s.labeled for s in corpus)
+    print(f"analyzed {labeled} labeled samples ({len(corpus) - labeled} unlabeled skipped) -> {out}")
     return 0
 
 

@@ -127,20 +127,34 @@ def open_utf8(path, newline: str | None = None, error: type[EvalkitError] = Data
 _to_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object_pairs_hook of every JSON input: the object of `pairs`, or
+    DataError for a key given twice, of which json would keep only the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for k, key in enumerate(keys) if key in keys[:k])
+        raise DataError(f"key {repeated!r} appears twice")
+    return obj
+
+
 def _json_lines(path):
     """(line number, value) for each nonblank line of a JSON-lines file; a line
-    that does not parse, or a string in it that holds a lone surrogate (which
-    no UTF-8 file can hold, so no output could), raises DataError naming it."""
+    that does not parse, repeats a key or holds a string with a lone surrogate
+    (which no UTF-8 file can hold, so no output could) raises DataError naming it."""
+    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
     with open_utf8(path) as fh:
         for line, text in enumerate(fh, 1):
             if not text.strip():
                 continue
             try:
-                value = json.loads(text)
+                value = decode(text)
                 if "\\u" in text:  # only an escape decodes to a surrogate
                     _to_json(value).encode("utf-8")
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line}: JSON parse error: {exc}") from None
+            except DataError as exc:
+                raise DataError(f"{path}:{line}: {exc}") from None
             except UnicodeEncodeError as exc:
                 char = exc.object[exc.start]
                 raise DataError(f"{path}:{line}: a string holds the lone surrogate {char!r}") from None

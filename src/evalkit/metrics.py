@@ -48,10 +48,13 @@ def canonical_subset(names: Sequence[str]) -> tuple[str, ...]:
     """Validate metric names and return them in canonical order."""
     if not isinstance(names, (list, tuple)) or not all(isinstance(m, str) for m in names):
         raise ConfigError(f"metrics must be a list of metric names, got {names!r}")
-    unknown = set(names) - set(CANONICAL_METRICS)
+    wanted = set(names)
+    unknown = wanted - set(CANONICAL_METRICS)
     if unknown:
         raise ConfigError(f"unknown metric name(s): {', '.join(sorted(unknown))}")
-    wanted = set(names)
+    if len(wanted) < len(names):
+        repeated = next(m for k, m in enumerate(names) if m in names[:k])
+        raise ConfigError(f"metric {repeated!r} appears twice")
     return tuple(m for m in CANONICAL_METRICS if m in wanted)
 
 

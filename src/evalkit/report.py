@@ -8,9 +8,9 @@ documents.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping, Sequence
 
-from ._record import Record
 from .corpus import Corpus
 from .errors import DataError
 from .stats import (
@@ -132,32 +132,16 @@ def render_sc_marker(value: float) -> str:
     return _render_rows(["sc_mean"], [[_fmt(value)]], "csv")
 
 
-class AnalysisReport(Record):
-    """Everything the analysis stage derives from a corpus and its scores."""
-
-    def __init__(
-        self,
-        metadata: Mapping[str, str],
-        offset_rows: Mapping[str, Sequence[OffsetRow] | None],
-        correlation_rows: Sequence[CorrelationRow],
-        per_metric_means: Mapping[str, float],
-        sc_marker: float,
-    ) -> None:
-        self.__dict__.update(
-            metadata=metadata, offset_rows=offset_rows, correlation_rows=correlation_rows,
-            per_metric_means=per_metric_means, sc_marker=sc_marker,
-        )
-
-
-def build_report(corpus: Corpus, scores: Mapping[str, Mapping[str, float]]) -> AnalysisReport:
-    """Run partitioning, offsets and correlation."""
+def build_report(corpus: Corpus, scores: Mapping[str, Mapping[str, float]]) -> dict[str, str]:
+    """The documents of the analysis by file name: the offset and correlation
+    tables as txt, csv and md, the boxplot data and SC marker as csv, and
+    the run metadata as JSON."""
     whole, correct, wrong = partition_by_sc(corpus)
     offset_rows: dict[str, Sequence[OffsetRow] | None] = {}
     for part in (whole, correct, wrong):
         offset_rows[part.kind] = offsets(corpus, scores, part) if len(part) else None
     correlation_rows = correlate(corpus, scores)
-    whole_rows = offset_rows["whole"]
-    per_metric_means = {r.metric: r.mean_value for r in whole_rows}
+    per_metric_means = {r.metric: r.mean_value for r in offset_rows["whole"]}
     marker = sc_mean(corpus, whole)
     metadata = {
         "samples": str(len(corpus)),
@@ -167,10 +151,11 @@ def build_report(corpus: Corpus, scores: Mapping[str, Mapping[str, float]]) -> A
     }
     for key, value in corpus.provenance.items():
         metadata[f"corpus_{key}"] = str(value)
-    return AnalysisReport(
-        metadata=metadata,
-        offset_rows=offset_rows,
-        correlation_rows=correlation_rows,
-        per_metric_means=per_metric_means,
-        sc_marker=marker,
-    )
+    documents = {}
+    for fmt in ("txt", "csv", "md"):
+        documents[f"offsets.{fmt}"] = render_offset_table(offset_rows, fmt)
+        documents[f"correlation.{fmt}"] = render_correlation_table(correlation_rows, fmt)
+    documents["boxplot.csv"] = render_boxplot_data(per_metric_means)
+    documents["sc_marker.csv"] = render_sc_marker(marker)
+    documents["analysis_meta.json"] = json.dumps(metadata, indent=2, sort_keys=True) + "\n"
+    return documents

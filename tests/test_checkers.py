@@ -129,7 +129,7 @@ class TestPythonLike:
 class TestExternal:
     def test_always_accepting_command(self):
         checker = SyntaxChecker(
-            name="yes", kind="external-command",
+            kind="external-command",
             command=f"{sys.executable} -c pass {{file}}", timeout=30,
         )
         assert compilation_accuracy("anything at all", checker) == 1
@@ -137,7 +137,7 @@ class TestExternal:
     def test_rejecting_command_scores_zero_with_diagnostic(self):
         code = "import sys; sys.stderr.write('nope'); sys.exit(1)"
         checker = SyntaxChecker(
-            name="no", kind="external-command",
+            kind="external-command",
             command=f'{sys.executable} -c "{code}" {{file}}', timeout=30,
         )
         result = checker.check("snippet")
@@ -147,15 +147,15 @@ class TestExternal:
     def test_snippet_lands_in_temp_file(self, tmp_path):
         # the checker compiles the snippet file itself: accepts iff valid python
         checker = SyntaxChecker(
-            name="pyc", kind="external-command",
-            command=f"{sys.executable} -m py_compile {{file}}", timeout=30, suffix=".py",
+            kind="external-command",
+            command=f"{sys.executable} -m py_compile {{file}}", timeout=30,
         )
         assert checker.check("x = 1\n").accepted
         assert not checker.check("x = = 1\n").accepted
 
     def test_timeout_scores_zero(self):
         checker = SyntaxChecker(
-            name="slow", kind="external-command",
+            kind="external-command",
             command=f'{sys.executable} -c "import time; time.sleep(30)" {{file}}',
             timeout=0.2,
         )
@@ -167,7 +167,7 @@ class TestExternal:
         # the command exits 0 at once but leaves a child holding its stderr
         pidfile = tmp_path / "child.pid"
         checker = SyntaxChecker(
-            name="bg", kind="external-command",
+            kind="external-command",
             command=f"sh -c 'sleep 3 & echo $! > {pidfile}; exit 0' {{file}}", timeout=1,
         )
         start = time.monotonic()
@@ -179,7 +179,7 @@ class TestExternal:
     def test_hanging_command_times_out_and_leaves_no_process(self, tmp_path):
         pidfile = tmp_path / "child.pid"
         checker = SyntaxChecker(
-            name="hang", kind="external-command",
+            kind="external-command",
             command=f"sh -c 'sleep 30 & echo $! > {pidfile}; wait' {{file}}", timeout=0.5,
         )
         result = checker.check("snippet")
@@ -195,13 +195,13 @@ class TestExternal:
     ], ids=["bare", "quoted", "twice", "inside-an-argument"])
     def test_template_with_only_file_fields_gets_the_snippet_file(self, template):
         # doubled braces are literal ones, as str.format reads them
-        checker = SyntaxChecker(name="sh", kind="external-command", command=template, timeout=5)
+        checker = SyntaxChecker(kind="external-command", command=template, timeout=5)
         result = checker.check("snippet")
         assert result.accepted, result.diagnostic
 
     def test_missing_binary_raises_checker_error(self):
         checker = SyntaxChecker(
-            name="ghost", kind="external-command",
+            kind="external-command",
             command="definitely-not-a-real-binary-anywhere {file}", timeout=5,
         )
         with pytest.raises(CheckerError):
@@ -211,21 +211,19 @@ class TestExternal:
         script = tmp_path / "check.sh"
         script.write_text("#!/bin/sh\nexit 0\n")
         script.chmod(0o644)
-        checker = SyntaxChecker(name="unrunnable", kind="external-command",
-                                command=f"{script} {{file}}", timeout=5)
+        checker = SyntaxChecker(kind="external-command", command=f"{script} {{file}}", timeout=5)
         with pytest.raises(CheckerError, match="checker failed to run: .*Permission denied"):
             checker.check("snippet")
 
     def test_template_requires_file_placeholder(self):
         with pytest.raises(ConfigError):
-            SyntaxChecker(name="bad", kind="external-command", command="true", timeout=5)
+            SyntaxChecker(kind="external-command", command="true", timeout=5)
 
     def test_timeout_mandatory(self):
         # NaN would turn the timeout off, and True would pass for 1 second
         for timeout in (0, -1, None, float("nan"), float("inf"), True, "5"):
             with pytest.raises(ConfigError):
-                SyntaxChecker(name="bad", kind="external-command", command="x {file}",
-                              timeout=timeout)
+                SyntaxChecker(kind="external-command", command="x {file}", timeout=timeout)
 
 
 class TestSelector:

@@ -276,6 +276,15 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {cfg}: metrics: the list is empty\n"
         assert not out.exists()
 
+    def test_config_listing_a_metric_twice_exits_1(self, tmp_path, capsys):
+        corpus = write_corpus_file(tmp_path, GOOD)
+        cfg = tmp_path / "m.json"
+        cfg.write_text('{"metrics": ["ED", "ED", "EM"]}')
+        out = tmp_path / "o"
+        assert run("eval", "--corpus", corpus, "--out", out, "--metrics-config", cfg) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: metric 'ED' appears twice\n"
+        assert not out.exists()
+
     def test_config_asking_for_ca_under_checker_none_exits_1(self, tmp_path, capsys):
         corpus = write_corpus_file(tmp_path, GOOD)
         cfg = tmp_path / "m.json"
@@ -763,6 +772,27 @@ class TestPreprocess:
         assert code == 2
         assert capsys.readouterr().err == f"error: {sidecar}:2: duplicate map for id 'a'\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flags, bad, where, key, code", [
+        ("eval", [], "corpus.jsonl", ":2", "sc", 2),
+        ("preprocess", ["--destandardize", "--sidecar", "maps.jsonl"], "maps.jsonl", ":1", "var0", 2),
+        ("eval", ["--metrics-config", "m.json"], "m.json", "", "metrics", 1),
+    ], ids=["corpus", "sidecar", "metrics-config"])
+    def test_json_key_given_twice_exits_naming_it(self, tmp_path, capsys, command, flags, bad,
+                                                  where, key, code):
+        # json keeps the last of a repeated key, so the first would be read as never given
+        lines = [json.dumps(dict(GOOD[0], intent="mov var0"))]
+        if bad == "corpus.jsonl":  # only the file under test repeats a key
+            lines.append(json.dumps(GOOD[1]).replace('"sc": 0', '"sc": 1, "sc": 0'))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        (tmp_path / "maps.jsonl").write_text('{"id": "a", "map": {"var0": "1", "var0": "2"}}\n')
+        (tmp_path / "m.json").write_text('{"metrics": ["EM"], "metrics": ["ED"]}\n')
+        flags = [tmp_path / flag if "." in flag else flag for flag in flags]
+        out = tmp_path / "o"
+        assert run(command, "--corpus", corpus, "--out", out, *flags) == code
+        assert capsys.readouterr().err == f"error: {tmp_path / bad}{where}: key {key!r} appears twice\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--rules", "nonexistent"],

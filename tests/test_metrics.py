@@ -591,6 +591,14 @@ class TestEvaluatePair:
         with pytest.raises(ConfigError):
             canonical_subset(("ED", "WER"))
 
+    def test_metric_listed_twice_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("metric 'ED' appears twice")):
+            canonical_subset(["ED", "EM", "ED"])
+
+    def test_language_without_a_tokenizer_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("language 'bogus'")):
+            evaluate_pair("a", "b", "bogus", MetricConfig())
+
     def test_all_scores_in_unit_interval(self, epsilon_config):
         rng = random.Random(17)
         chars = "abX5, \n()%!=0x"

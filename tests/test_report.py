@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from evalkit import Corpus, DataError
+from evalkit.cli import main
+from evalkit.corpus import load_corpus, load_results, write_corpus, write_results
 from evalkit.report import (
     build_report,
     render_boxplot_data,
@@ -186,19 +190,36 @@ class TestBuildReport:
 
     def test_marker_equals_corpus_sc_mean(self):
         corpus, scores = self._corpus_and_scores()
-        report = build_report(corpus, scores)
-        assert report.sc_marker == pytest.approx(0.5)
-        assert report.metadata["labeled"] == "4"
+        documents = build_report(corpus, scores)
+        assert documents["sc_marker.csv"] == "sc_mean\n0.500\n"
+        assert json.loads(documents["analysis_meta.json"])["labeled"] == "4"
 
     def test_offsets_cover_three_partitions(self):
         corpus, scores = self._corpus_and_scores()
-        report = build_report(corpus, scores)
-        assert set(report.offset_rows) == {"whole", "correct", "wrong"}
+        header = build_report(corpus, scores)["offsets.csv"].splitlines()[0].split(",")
+        assert {column.split("_")[0] for column in header[1:]} == {"whole", "correct", "wrong"}
 
     def test_unlabeled_counted(self):
         corpus, scores = self._corpus_and_scores()
         extra = make_sample(99, sc=None)
         corpus = Corpus(corpus.samples + (extra,))
         scores[extra.id] = {"EM": 0.0, "ED": 0.0}
-        report = build_report(corpus, scores)
-        assert report.metadata["unlabeled_skipped"] == "1"
+        documents = build_report(corpus, scores)
+        assert json.loads(documents["analysis_meta.json"])["unlabeled_skipped"] == "1"
+
+    def test_documents_are_the_files_analyze_writes(self, tmp_path):
+        corpus, scores = self._corpus_and_scores()
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        write_results(list(scores.items()), tmp_path / "results.csv")
+        out = tmp_path / "out"
+        assert main(["analyze", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--results", str(tmp_path / "results.csv"), "--out", str(out)]) == 0
+        documents = build_report(load_corpus(tmp_path / "corpus.jsonl"),
+                                 dict(load_results(tmp_path / "results.csv")))
+        assert list(documents) == [
+            "offsets.txt", "correlation.txt", "offsets.csv", "correlation.csv",
+            "offsets.md", "correlation.md", "boxplot.csv", "sc_marker.csv", "analysis_meta.json",
+        ]
+        assert sorted(path.name for path in out.iterdir()) == sorted(documents)
+        for name, text in documents.items():
+            assert (out / name).read_bytes() == text.encode("utf-8"), name

@@ -26,7 +26,6 @@ from evalkit import (
     SyntaxChecker,
     TokenizerConfig,
 )
-from evalkit.report import AnalysisReport
 
 
 def config_repr(smoothing: str, metrics: str, checker: str) -> str:
@@ -83,16 +82,14 @@ VALUES = {
         "CheckResult(accepted=True, diagnostic='')",
     ),
     "SyntaxChecker": (
-        lambda: SyntaxChecker("external", "external-command", "as {file}", 2, ".s"),
-        lambda: SyntaxChecker("external", "external-command", "as {file}", 3, ".s"),
-        "SyntaxChecker(name='external', kind='external-command', command='as {file}', "
-        "timeout=2, suffix='.s')",
+        lambda: SyntaxChecker("external-command", "as {file}", 2),
+        lambda: SyntaxChecker("external-command", "as {file}", 3),
+        "SyntaxChecker(kind='external-command', command='as {file}', timeout=2)",
     ),
     "SyntaxChecker-defaults": (
-        lambda: SyntaxChecker(name="assembly-subset", kind="builtin-assembly-subset"),
-        lambda: SyntaxChecker(name="python-like", kind="builtin-python-like"),
-        "SyntaxChecker(name='assembly-subset', kind='builtin-assembly-subset', command='', "
-        "timeout=10.0, suffix='.txt')",
+        lambda: SyntaxChecker(kind="builtin-assembly-subset"),
+        lambda: SyntaxChecker(kind="builtin-python-like"),
+        "SyntaxChecker(kind='builtin-assembly-subset', command='', timeout=10.0)",
     ),
     "TokenizerConfig": (
         lambda: TokenizerConfig("code-punct", True, False),
@@ -139,8 +136,7 @@ VALUES = {
         lambda: MetricConfig(checker=ASSEMBLY_CHECKER),
         config_repr(
             "epsilon", ALL_METRICS,
-            "SyntaxChecker(name='assembly-subset', kind='builtin-assembly-subset', "
-            "command='', timeout=10.0, suffix='.txt')",
+            "SyntaxChecker(kind='builtin-assembly-subset', command='', timeout=10.0)",
         ),
     ),
     "Partition": (
@@ -163,20 +159,9 @@ VALUES = {
         lambda: DescriptiveStats(0.0, 0.25, 0.5, 0.75, 1.0, 0.5, 0.25),
         "DescriptiveStats(min=0.0, q1=0.25, median=0.5, q3=0.75, max=1.0, mean=0.5, std=0.125)",
     ),
-    "AnalysisReport": (
-        lambda: AnalysisReport(
-            {"samples": "1"}, {"whole": [OffsetRow("ED", 0.5, 0.25)], "wrong": None},
-            [CorrelationRow("ED", 0.5, None, 2)], {"ED": 0.5}, 0.5,
-        ),
-        lambda: AnalysisReport({"samples": "1"}, {}, [], {}, 0.5),
-        "AnalysisReport(metadata={'samples': '1'}, offset_rows={'whole': "
-        "[OffsetRow(metric='ED', mean_value=0.5, offset=0.25)], 'wrong': None}, "
-        "correlation_rows=[CorrelationRow(metric='ED', pearson_r=0.5, kendall_tau=None, n=2)], "
-        "per_metric_means={'ED': 0.5}, sc_marker=0.5)",
-    ),
 }
 # the types that hold a dict, so that hashing an instance raises TypeError
-UNHASHABLE = (Corpus, MetricConfig, AnalysisReport)
+UNHASHABLE = (Corpus, MetricConfig)
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -251,6 +236,10 @@ def test_metric_config_equality_ignores_the_resolved_checkers():
     assert pickle.loads(pickle.dumps(a)).checker_for("assembly") == ASSEMBLY_CHECKER
 
 
+def test_syntax_checker_fields_are_the_ones_a_check_reads():
+    assert SyntaxChecker._fields == ("kind", "command", "timeout")
+
+
 def test_default_mappings_are_not_shared():
     assert MetricConfig().tokenizers is not MetricConfig().tokenizers
     assert Corpus(()).provenance is not Corpus(()).provenance
@@ -271,25 +260,25 @@ BAD_ARGUMENTS = [
     (lambda: Corpus((Sample("a", "", "", ""), Sample("a", "", "", ""))), DataError,
      "duplicate sample id 'a'"),
     (lambda: CheckResult(), TypeError, "missing 1 required positional argument: 'accepted'"),
-    (lambda: SyntaxChecker("n", "bogus"), ConfigError, "unknown checker kind 'bogus'"),
-    (lambda: SyntaxChecker("n", "external-command", "as"), ConfigError,
+    (lambda: SyntaxChecker("bogus"), ConfigError, "unknown checker kind 'bogus'"),
+    (lambda: SyntaxChecker("external-command", "as"), ConfigError,
      "external checker needs a command template with {file}"),
-    (lambda: SyntaxChecker("n", "external-command", 'echo "{file}'), ConfigError,
+    (lambda: SyntaxChecker("external-command", 'echo "{file}'), ConfigError,
      """external checker template 'echo "{file}': No closing quotation"""),
-    (lambda: SyntaxChecker("n", "external-command", "echo {file"), ConfigError,
+    (lambda: SyntaxChecker("external-command", "echo {file"), ConfigError,
      "external checker template 'echo {file': expected '}' before end of string"),
-    (lambda: SyntaxChecker("n", "external-command", "echo {x} {file}"), ConfigError,
+    (lambda: SyntaxChecker("external-command", "echo {x} {file}"), ConfigError,
      "no other replacement field, got 'echo {x} {file}'"),
-    (lambda: SyntaxChecker("n", "external-command", "echo {} {file}"), ConfigError,
+    (lambda: SyntaxChecker("external-command", "echo {} {file}"), ConfigError,
      "no other replacement field, got 'echo {} {file}'"),
-    (lambda: SyntaxChecker("n", "external-command", "echo {{file}}"), ConfigError,
+    (lambda: SyntaxChecker("external-command", "echo {{file}}"), ConfigError,
      "external checker needs a command template with {file} and no other replacement field, "
      "got 'echo {{file}}'"),
-    (lambda: SyntaxChecker("n", "external-command", None), ConfigError,
+    (lambda: SyntaxChecker("external-command", None), ConfigError,
      "external checker template must be a string, got None"),
-    (lambda: SyntaxChecker("n", "external-command", "as {file}", float("nan")), ConfigError,
+    (lambda: SyntaxChecker("external-command", "as {file}", float("nan")), ConfigError,
      "external checker needs a finite timeout > 0 seconds, got nan"),
-    (lambda: SyntaxChecker("n", "external-command", "as {file}", True), ConfigError,
+    (lambda: SyntaxChecker("external-command", "as {file}", True), ConfigError,
      "external checker needs a finite timeout > 0 seconds, got True"),
     (lambda: TokenizerConfig("bogus"), ConfigError, "unknown tokenizer mode 'bogus'"),
     (lambda: TokenizerConfig("whitespace", 1), ConfigError,
@@ -337,9 +326,9 @@ BAD_ARGUMENTS = [
      "missing 3 required positional arguments: 'pearson_r', 'kendall_tau', and 'n'"),
     (lambda: DescriptiveStats(1, 2, 3), TypeError,
      "missing 4 required positional arguments: 'q3', 'max', 'mean', and 'std'"),
-    (lambda: AnalysisReport({}), TypeError,
-     "missing 4 required positional arguments: 'offset_rows', 'correlation_rows', "
-     "'per_metric_means', and 'sc_marker'"),
+    (lambda: MetricConfig(metrics=("ED", "EM", "ED")), ConfigError, "metric 'ED' appears twice"),
+    (lambda: SyntaxChecker("builtin-assembly-subset", suffix=".s"), TypeError,
+     "got an unexpected keyword argument 'suffix'"),
 ]
 
 
